@@ -7,8 +7,11 @@ manifest sidecar ``<file>.manifest.json`` recording the command,
 parameters, package version and a wall-clock timestamp (the one field
 that varies between reruns).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
-failure (an optimizer exhausted its budget without converging).
+Exit codes: 0 success, 1 usage error, 2 data error (including
+non-finite values in an input file), 3 numerical failure: the closed-form
+act's quadratic form could not be factorised (the message gives its
+condition estimate), or, when ``--step/--max-iters/--grad-tol`` select
+the iterative solver, the descent exhausted its budget.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .optimize import DescentConfig
 from .scoring import (
     EmpiricalMeasure,
     bayes_act,
+    divergence_with_acts,
     left_loss,
     mutual_information,
     right_loss,
@@ -60,7 +64,8 @@ _DATA_ERRORS = (
 
 
 class NumericalFailure(RuntimeError):
-    """An estimator failed to converge within its budget."""
+    """An act solve failed: a form that cannot be factorised, or a
+    descent that did not converge within its budget."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,21 +136,30 @@ def _write_manifest(out_path: Path, manifest: dict) -> None:
     side.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _descent_config(args) -> DescentConfig:
-    return DescentConfig(
-        step=args.step,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
+def _descent_config(args) -> DescentConfig | None:
+    # None keeps the closed-form act; any descent flag selects descent,
+    # with DescentConfig's defaults for the flags not given.
+    given = {
+        key: value
+        for key, value in (("step", args.step), ("max_iters", args.max_iters),
+                           ("grad_tol", args.grad_tol))
+        if value is not None
+    }
+    return DescentConfig(**given) if given else None
+
+
+def _add_descent_flags(p) -> None:
+    g = p.add_argument_group(
+        "iterative solver",
+        "Setting any of these flags selects the iterative solver (affine "
+        "descent) in place of the closed-form act.",
     )
-
-
-def _add_descent_flags(p, max_iters: int = 2000, grad_tol: float = 1e-9) -> None:
-    p.add_argument("--step", type=_positive_float, default=None,
+    g.add_argument("--step", type=_positive_float, default=None,
                    help="descent step size (default: derived from the data)")
-    p.add_argument("--max-iters", type=_positive_int, default=max_iters,
-                   help="iteration budget per act solve")
-    p.add_argument("--grad-tol", type=_positive_float, default=grad_tol,
-                   help="gradient norm stopping tolerance")
+    g.add_argument("--max-iters", type=_positive_int, default=None,
+                   help="iteration budget per act solve (default 2000)")
+    g.add_argument("--grad-tol", type=_positive_float, default=None,
+                   help="gradient norm stopping tolerance (default 1e-9)")
 
 
 def _read_measure(path: str) -> EmpiricalMeasure:
@@ -209,30 +223,27 @@ def cmd_sig(args) -> int:
     return EXIT_OK
 
 
-def _require_converged(*acts) -> None:
-    for act in acts:
-        if not act.converged:
+def _require_converged(cfg, *results) -> None:
+    # results are BayesAct or MIEstimate records
+    for r in results:
+        if r.converged:
+            continue
+        if cfg is None:
             raise NumericalFailure(
-                "act solve exhausted its iteration budget; raise --max-iters"
+                "the act's quadratic form is not positive definite to working "
+                f"precision (condition estimate {r.condition:.3g})"
             )
+        raise NumericalFailure(
+            "act solve exhausted its iteration budget; raise --max-iters"
+        )
 
 
 def cmd_divergence(args) -> int:
     nu = _read_measure(args.a)
     mu = _read_measure(args.b)
     cfg = _descent_config(args)
-    act_mu = bayes_act(mu, args.side, args.depth, cfg)
-    act_nu = bayes_act(nu, args.side, args.depth, cfg)
-    _require_converged(act_mu, act_nu)
-    cross = sum(
-        w * _side_loss(p, act_mu.value, args.side)
-        for w, p in zip(nu.weights, nu.paths)
-    )
-    own = sum(
-        w * _side_loss(p, act_nu.value, args.side)
-        for w, p in zip(nu.weights, nu.paths)
-    )
-    value = float(cross - own)
+    value, act_mu, act_nu = divergence_with_acts(nu, mu, args.side, args.depth, cfg)
+    _require_converged(cfg, act_mu, act_nu)
     _emit_scalar(
         args, "divergence", "divergence", args.side, args.depth, value,
         len(nu) + len(mu), None,
@@ -246,13 +257,12 @@ def cmd_divergence(args) -> int:
 
 def cmd_entropy(args) -> int:
     mu = _read_measure(args.input)
-    act = bayes_act(mu, args.side, args.depth, _descent_config(args))
-    _require_converged(act)
-    value = float(
-        sum(w * _side_loss(p, act.value, args.side) for w, p in zip(mu.weights, mu.paths))
-    )
+    cfg = _descent_config(args)
+    act = bayes_act(mu, args.side, args.depth, cfg)
+    _require_converged(cfg, act)
+    # the act's objective is the expected loss at the act: the entropy
     _emit_scalar(
-        args, "entropy", "entropy", args.side, args.depth, value,
+        args, "entropy", "entropy", args.side, args.depth, act.objective,
         len(mu), None, act.iterations, act.grad_norm,
         {"input": str(args.input), "side": args.side, "depth": args.depth},
     )
@@ -267,8 +277,9 @@ def cmd_score(args) -> int:
         )
     (x,) = xs.values()
     mu = _read_measure(args.measure)
-    act = bayes_act(mu, args.side, args.depth, _descent_config(args))
-    _require_converged(act)
+    cfg = _descent_config(args)
+    act = bayes_act(mu, args.side, args.depth, cfg)
+    _require_converged(cfg, act)
     value = _side_loss(x, act.value, args.side)
     _emit_scalar(
         args, "score", "score", args.side, args.depth, value,
@@ -287,14 +298,12 @@ def _model_for(args):
 
 
 def cmd_mi(args) -> int:
+    cfg = _descent_config(args)
     est = mutual_information(
         _model_for(args), args.n_u, args.n_x, args.side, args.depth,
-        _descent_config(args), seed=args.seed,
+        cfg, seed=args.seed,
     )
-    if not est.converged:
-        raise NumericalFailure(
-            "an entropy solve exhausted its iteration budget; raise --max-iters"
-        )
+    _require_converged(cfg, est)
     _emit_scalar(
         args, "mi", "mutual_information", args.side, args.depth, est.mi,
         est.n_u * est.n_x + est.n_x, args.seed, est.iterations, est.grad_norm,
@@ -340,8 +349,7 @@ def _cmd_experiment_mi(args, kind: str, command: str) -> int:
         seed=args.seed,
         resolution=args.resolution,
     )
-    if not all(e.converged for e in estimates):
-        raise NumericalFailure("an entropy solve exhausted its iteration budget")
+    _require_converged(None, *estimates)
     out = Path(args.out)
     out.write_text(format_csv(header, rows))
     _write_manifest(
@@ -419,8 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", type=_positive_float, default=1e-2)
     p.add_argument("--horizon", type=_positive_float, default=1.0)
     p.add_argument("--out", default=None)
-    # sampled mixtures need a looser budget than file-based measures
-    _add_descent_flags(p, max_iters=3000, grad_tol=1e-8)
+    _add_descent_flags(p)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("experiment-warp",

@@ -14,6 +14,7 @@ import numpy as np
 from .baselines import dtw, soft_dtw
 from .optimize import DescentConfig
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergence
+from .signature import signature, signatures
 from .stochastic import (
     SimConfig,
     SpiralModel,
@@ -21,6 +22,7 @@ from .stochastic import (
     brownian,
     power_warp,
 )
+from .tensor_algebra import unstack
 
 __all__ = [
     "sdtw_divergence",
@@ -32,10 +34,6 @@ __all__ = [
 
 DEFAULT_GAMMAS = (1.0, 0.1, 0.01)
 DEFAULT_RHOS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-# Entropy estimation on simulated data: the auto step keeps descent
-# monotone, this budget keeps each act solve well below a second.
-_MI_CONFIG = DescentConfig(max_iters=3000, grad_tol=1e-8)
 
 
 def sdtw_divergence(x, y, gamma: float, self_x: float | None = None, self_y: float | None = None) -> float:
@@ -87,10 +85,14 @@ def run_warp_experiment(
         + ["dtw"]
     )
     self_x = {g: soft_dtw(x, x, g) for g in gammas}
+    ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
+    # power_warp keeps the time grid, so the warps are signed in one batch
+    warps = [power_warp(x, p) for p in ps]
+    sig_x = signature(x, depth)
+    sig_warps = unstack(signatures(warps, depth), x.dim)
     rows = []
-    for p in np.geomspace(1.0, p_max, n_points):
-        y = power_warp(x, float(p))
-        cells = [float(p), point_divergence(x, y, depth)]
+    for p, y, sig_y in zip(ps, warps, sig_warps):
+        cells = [p, point_divergence(sig_x, sig_y, depth)]
         for g in gammas:
             cells.append(sdtw_divergence(x, y, g, self_x=self_x[g]))
         cells.append(dtw(x, y))
@@ -118,11 +120,12 @@ def mi_point(
     side: str = RIGHT,
     cfg: DescentConfig | None = None,
 ) -> MIEstimate:
-    """Single mutual-information estimate for one model and rho."""
+    """Single mutual-information estimate for one model and rho.
+
+    The acts are taken in closed form unless ``cfg`` selects descent.
+    """
     model = _mi_model(kind, rho, SimConfig(seed=0, horizon=horizon, resolution=resolution, dim=2))
-    return mutual_information(
-        model, n_u, n_x, side, depth, cfg or _MI_CONFIG, seed=seed
-    )
+    return mutual_information(model, n_u, n_x, side, depth, cfg, seed=seed)
 
 
 def run_mi_experiment(

@@ -5,11 +5,20 @@ unital tensor minimizing the expected quadratic loss of the signature
 multiplied (left or right) by the act's inverse.  Scores, entropies,
 divergences and mutual information all derive from that act.
 
-The minimization runs in the inverted variable ``x = m^{-1}``, where the
-objective ``E ||Phi(X) x||^2`` is an explicit convex quadratic on the
-affine slice of tensors with scalar part one; the analytic gradient is
-the averaged multiplication adjoint ``2 E [adj_Phi(X) (Phi(X) x)]``
-projected onto degrees >= 1.
+In the inverted variable ``x = m^{-1}`` the expected loss is
+``x^T Q x - 1`` on the slice ``x_0 = 1``, with ``Q = E[A^T A]`` and A the
+matrix of multiplication by the signature (from the left for the right
+side, from the right for the left side).  Every A is triangular with a
+unit diagonal, so Q is symmetric positive definite and the act has a
+closed form: ``x* = Q^{-1} e_0 / (Q^{-1})_{00}``, with entropy
+``1 / (Q^{-1})_{00} - 1``.  This is the default route, taken from one
+Cholesky factorisation per measure; a factorisation that fails, or a
+non-finite result, is reported as ``converged=False``.
+
+Passing an explicit :class:`~trackscore.optimize.DescentConfig` selects
+the iterative route instead: gradient descent on the slice
+(:func:`~trackscore.optimize.affine_descent`) with the analytic gradient
+``2 Q x`` projected onto degrees >= 1.
 """
 
 from __future__ import annotations
@@ -19,21 +28,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import DescentConfig, affine_descent
-from .signature import PiecewiseLinearPath, signature
+from .signature import PiecewiseLinearPath, signature, signatures
 from .tensor_algebra import (
     TruncatedTensor,
     drop_scalar,
     flatten,
     inverse,
     is_unital,
-    lmul_matrix,
+    lmul_matrices,
+    lmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     mul,
+    mul_levels,
     norm,
-    rmul_matrix,
+    rmul_matrices,
+    rmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     sub,
-    tensor_dim,
     unflatten,
     unit,
+    unstack,
 )
 
 __all__ = [
@@ -49,6 +61,7 @@ __all__ = [
     "score",
     "entropy",
     "divergence",
+    "divergence_with_acts",
     "point_divergence",
     "mutual_information",
     "expected_signature",
@@ -57,6 +70,10 @@ __all__ = [
 
 LEFT = "left"
 RIGHT = "right"
+
+# Multiplication-matrix entries held at once while a form is assembled;
+# measures are processed in blocks of this size, whole when they fit.
+MATRIX_FLOATS = 1 << 14
 
 
 def _check_side(side: str) -> str:
@@ -110,7 +127,16 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class BayesAct:
-    """Optimal act for a measure, with solver diagnostics."""
+    """Optimal act for a measure, with solver diagnostics.
+
+    ``iterations`` is 0 for the closed form.  ``grad_norm`` is the norm
+    of the slice gradient at the returned act and ``objective`` the
+    expected loss there (the entropy estimate).  ``condition`` estimates
+    the condition number of the quadratic form Q: ``(max L_ii / min
+    L_ii)^2`` from its Cholesky factor L, a lower bound on the 2-norm
+    condition number, or that number itself where the factorisation
+    fails (inf when Q has non-finite entries).
+    """
 
     value: TruncatedTensor
     side: str
@@ -118,6 +144,7 @@ class BayesAct:
     grad_norm: float
     objective: float
     converged: bool
+    condition: float
 
 
 @dataclass(frozen=True)
@@ -125,7 +152,8 @@ class MIEstimate:
     """Mutual information estimate between a track and a condition.
 
     ``entropy`` is the unconditional entropy estimate entering the
-    difference; diagnostics aggregate over all internal act solves.
+    difference; diagnostics aggregate over all internal act solves
+    (total iterations, largest gradient norm and condition number).
     """
 
     mi: float
@@ -139,6 +167,7 @@ class MIEstimate:
     iterations: int
     grad_norm: float
     converged: bool
+    condition: float
 
 
 def loss_L(t: TruncatedTensor) -> float:
@@ -171,83 +200,171 @@ def right_loss(x: PiecewiseLinearPath, m: TruncatedTensor) -> float:
 class _SliceProblem:
     # Quadratic representation of psi(x) = sum_i w_i ||A_i x||^2 on the
     # unital slice, with A_i the side multiplication by signature i.
-    sigs: list[TruncatedTensor]
+    levels: list[np.ndarray]
     weights: np.ndarray
     quad: np.ndarray
     width: int
     depth: int
     side: str
-    lam_max: float
+
+    @property
+    def sigs(self) -> list[TruncatedTensor]:
+        return unstack(self.levels, self.width)
 
 
-def _top_eigenvalue(quad: np.ndarray) -> float:
-    # Power iteration; quad is symmetric positive semidefinite and has
-    # lam_max >= 1 (the scalar column alone contributes ||Phi||^2 >= 1).
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(quad.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        w = quad @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        lam_new = float(v @ (quad @ v))
-        if abs(lam_new - lam) <= 1e-9 * max(lam_new, 1.0):
-            return lam_new
-        lam = lam_new
-    return max(lam, 1.0)
+def _quad_forms(levels, weights: np.ndarray, side: str) -> np.ndarray:
+    """``Q = sum_i w_i A_i^T A_i`` for each of G measures of n paths:
+    ``levels[m]`` has shape ``(G, n, d**m)`` and ``weights`` ``(G, n)``."""
+    n_measures, n = weights.shape
+    dim = sum(lev.shape[-1] for lev in levels)
+    per_block = max(1, MATRIX_FLOATS // (dim * dim))
+    rows = min(n, per_block)
+    measures = max(1, per_block // n)
+    quads = np.zeros((n_measures, dim, dim))
+    for g in range(0, n_measures, measures):
+        for i in range(0, n, rows):
+            block = (slice(g, g + measures), slice(i, i + rows))
+            lv = [lev[block] for lev in levels]
+            mats = lmul_matrices(lv) if side == RIGHT else rmul_matrices(lv)
+            # sqrt(w_i) A_i stacked row-wise: B^T B = sum_i w_i A_i^T A_i
+            mats *= np.sqrt(weights[block])[..., None, None]
+            stacked = mats.reshape(mats.shape[0], -1, dim)
+            quads[block[0]] += np.swapaxes(stacked, 1, 2) @ stacked
+    return quads
+
+
+def _expected_losses(levels, weights: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """``E loss_L`` at the slice point ``x`` of each measure, shape
+    ``(..., D)``, over signature levels ``(..., n, d**m)``.  The products
+    are summed directly, which keeps a value near zero accurate where
+    ``x^T Q x - 1`` would cancel."""
+    offs = np.cumsum([0] + [lev.shape[-1] for lev in levels])
+    xl = [x[..., None, a:b] for a, b in zip(offs[:-1], offs[1:])]
+    prod = mul_levels(levels, xl) if side == RIGHT else mul_levels(xl, levels)
+    losses = sum(np.sum(lev * lev, axis=-1) for lev in prod[1:])
+    return np.sum(weights * losses, axis=-1)
 
 
 def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem:
     _check_side(side)
-    sigs = [signature(p, depth) for p in mu.paths]
-    d = mu.dim
-    n = tensor_dim(d, depth)
-    quad = np.zeros((n, n))
-    for w, s in zip(mu.weights, sigs):
-        A = lmul_matrix(s) if side == RIGHT else rmul_matrix(s)
-        quad += w * (A.T @ A)
-    return _SliceProblem(sigs, mu.weights, quad, d, depth, side, _top_eigenvalue(quad))
+    levels = signatures(mu.paths, depth)
+    quad = _quad_forms([lev[None] for lev in levels], mu.weights[None], side)[0]
+    return _SliceProblem(levels, mu.weights, quad, mu.dim, depth, side)
 
 
 def _slice_objective(prob: _SliceProblem):
-    quad = prob.quad
+    return _quadratic(prob.quad, prob.width, prob.depth)
 
+
+def _quadratic(quad: np.ndarray, width: int, depth: int):
+    # psi(u) - 1 and its slice gradient, on tensors.
     def value(u: TruncatedTensor) -> float:
         vec = flatten(u)
         return float(vec @ (quad @ vec)) - 1.0
 
     def grad(u: TruncatedTensor) -> TruncatedTensor:
         vec = flatten(u)
-        return drop_scalar(unflatten(2.0 * (quad @ vec), prob.width, prob.depth))
+        return drop_scalar(unflatten(2.0 * (quad @ vec), width, depth))
 
     return value, grad
 
 
-def _solve_slice(mu, side, depth, cfg):
-    prob = _slice_problem(mu, side, depth)
-    value, grad = _slice_objective(prob)
+@dataclass
+class _Solution:
+    # Slice minimizers of a stack of forms, one row per measure.
+    x: np.ndarray
+    iterations: np.ndarray
+    grad_norm: np.ndarray
+    converged: np.ndarray
+    condition: np.ndarray
+
+
+def _cholesky(quads: np.ndarray) -> np.ndarray:
+    # Factors of a stack of forms; a form that is not positive definite
+    # to working precision gets a NaN factor instead of failing the rest.
+    try:
+        return np.linalg.cholesky(quads)
+    except np.linalg.LinAlgError:
+        out = np.full_like(quads, np.nan)
+        for k, q in enumerate(quads):
+            try:
+                out[k] = np.linalg.cholesky(q)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _closed_form(chol: np.ndarray) -> np.ndarray:
+    # x* = Q^-1 e0 / (Q^-1)_00 for each factor Q = L L^T in the stack:
+    # c = L^-1 e0, z = L^-T c = Q^-1 e0.  Rows whose factorisation
+    # failed stay NaN.
+    ok = np.isfinite(chol).all(axis=(1, 2))
+    x = np.full(chol.shape[:2], np.nan)
+    if ok.any():
+        e0 = np.zeros((chol.shape[-1], 1))
+        e0[0] = 1.0
+        c = np.linalg.solve(chol[ok], e0)
+        z = np.linalg.solve(np.swapaxes(chol[ok], 1, 2), c)[..., 0]
+        x[ok] = z / z[:, :1]
+    return x
+
+
+def _condition(quads: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    # BayesAct.condition for each form.  The SVD runs only for forms
+    # whose factorisation failed.
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    cond = (diag.max(axis=1) / diag.min(axis=1)) ** 2
+    failed = ~np.isfinite(cond)
+    for k in np.flatnonzero(failed):
+        cond[k] = np.linalg.cond(quads[k]) if np.isfinite(quads[k]).all() else np.inf
+    return cond
+
+
+def _descend(quad: np.ndarray, width: int, depth: int, cfg: DescentConfig):
+    value, grad = _quadratic(quad, width, depth)
     # Step 1/lam_max puts the top mode exactly on the stability boundary
     # (multiplier -1: oscillation the divergence guard cannot see); the 5%
-    # margin keeps every mode strictly contractive and also covers the
-    # power-iteration tolerance.
-    res = affine_descent(
-        value,
-        grad,
-        unit(prob.width, depth),
-        cfg or DescentConfig(),
-        default_step=1.0 / (1.05 * prob.lam_max),
+    # margin keeps every mode strictly contractive.
+    lam_max = float(np.linalg.eigvalsh(quad)[-1])
+    return affine_descent(
+        value, grad, unit(width, depth), cfg, default_step=1.0 / (1.05 * lam_max)
     )
-    return prob, res
 
 
-def _slice_loss(sig: TruncatedTensor, u: TruncatedTensor, side: str) -> float:
-    # Loss of the act u^{-1} against a precomputed signature, evaluated
-    # without inverting: L(Phi u) (right) or L(u Phi) (left).
-    t = mul(sig, u) if side == RIGHT else mul(u, sig)
-    return loss_L(t)
+def _solve(quads: np.ndarray, width: int, depth: int, cfg) -> _Solution:
+    """Slice minimizers of a stack of forms ``(k, D, D)``: in closed form
+    when ``cfg`` is None, else by affine descent under ``cfg``."""
+    chol = _cholesky(quads)
+    if cfg is None:
+        x = _closed_form(chol)
+        grads = 2.0 * np.linalg.norm((quads @ x[..., None])[:, 1:, 0], axis=-1)
+        iterations = np.zeros(len(quads), dtype=int)
+        converged = np.isfinite(x).all(axis=1) & np.isfinite(grads)
+    else:
+        runs = [_descend(q, width, depth, cfg) for q in quads]
+        x = np.stack([flatten(r.minimizer) for r in runs])
+        grads = np.array([r.grad_norm for r in runs])
+        iterations = np.array([r.iterations for r in runs])
+        converged = np.array([r.converged for r in runs])
+    return _Solution(x, iterations, grads, converged, _condition(quads, chol))
+
+
+def _act(mu: EmpiricalMeasure, side: str, depth: int, cfg):
+    # The act, its slice point x = act^-1 as a flat vector, and the
+    # problem holding the measure's signatures.
+    prob = _slice_problem(mu, side, depth)
+    sol = _solve(prob.quad[None], prob.width, depth, cfg)
+    x = sol.x[0]
+    act = BayesAct(
+        value=inverse(unflatten(x, prob.width, depth)),
+        side=side,
+        iterations=int(sol.iterations[0]),
+        grad_norm=float(sol.grad_norm[0]),
+        objective=float(_expected_losses(prob.levels, prob.weights, x, side)),
+        converged=bool(sol.converged[0]),
+        condition=float(sol.condition[0]),
+    )
+    return act, x, prob
 
 
 def bayes_act(mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> BayesAct:
@@ -255,40 +372,34 @@ def bayes_act(mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> BayesAct
 
     For a point mass this returns the signature of its path.  The
     reported objective is the expected loss at the returned act, i.e.
-    the entropy estimate of the measure.
+    the entropy estimate of the measure.  With ``cfg=None`` the act is
+    taken in closed form; a :class:`DescentConfig` selects affine
+    descent under that configuration.
     """
-    act, _, _ = _bayes_act_slice(mu, side, depth, cfg)
-    return act
-
-
-def _bayes_act_slice(mu, side, depth, cfg=None):
-    prob, res = _solve_slice(mu, side, depth, cfg)
-    act = BayesAct(
-        value=inverse(res.minimizer),
-        side=side,
-        iterations=res.iterations,
-        grad_norm=res.grad_norm,
-        objective=res.objective,
-        converged=res.converged,
-    )
-    return act, res.minimizer, prob
+    return _act(mu, side, depth, cfg)[0]
 
 
 def score(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> float:
     """Proper score of forecast mu at outcome path x."""
-    _, u, _ = _bayes_act_slice(mu, side, depth, cfg)
-    return _slice_loss(signature(x, depth), u, side)
+    _, u, _ = _act(mu, side, depth, cfg)
+    return float(_expected_losses(signatures([x], depth), np.ones(1), u, side))
 
 
 def entropy(mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> float:
     """Expected score of mu against itself (generalized entropy)."""
-    _, u, prob = _bayes_act_slice(mu, side, depth, cfg)
-    return float(
-        sum(
-            w * _slice_loss(s, u, side)
-            for w, s in zip(prob.weights, prob.sigs)
-        )
-    )
+    return bayes_act(mu, side, depth, cfg).objective
+
+
+def divergence_with_acts(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int, cfg=None):
+    """:func:`divergence` together with the acts of mu and nu, in that
+    order.  Each measure's paths are signed once; nu's signatures serve
+    both the cross term and nu's own entropy."""
+    if nu.dim != mu.dim:
+        raise ValueError("measures must share one dimension")
+    act_mu, x_mu, _ = _act(mu, side, depth, cfg)
+    act_nu, _, prob_nu = _act(nu, side, depth, cfg)
+    cross = _expected_losses(prob_nu.levels, prob_nu.weights, x_mu, side)
+    return float(cross) - act_nu.objective, act_mu, act_nu
 
 
 def divergence(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> float:
@@ -296,41 +407,28 @@ def divergence(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int
 
     Nonnegative up to solver tolerance, zero when the measures agree.
     """
-    if nu.dim != mu.dim:
-        raise ValueError("measures must share one dimension")
-    _, u_mu, _ = _bayes_act_slice(mu, side, depth, cfg)
-    _, u_nu, prob_nu = _bayes_act_slice(nu, side, depth, cfg)
-    cross = sum(
-        w * _slice_loss(s, u_mu, side)
-        for w, s in zip(prob_nu.weights, prob_nu.sigs)
-    )
-    own = sum(
-        w * _slice_loss(s, u_nu, side)
-        for w, s in zip(prob_nu.weights, prob_nu.sigs)
-    )
-    return float(cross - own)
+    return divergence_with_acts(nu, mu, side, depth, cfg)[0]
 
 
-def point_divergence(x: PiecewiseLinearPath, y: PiecewiseLinearPath, depth: int) -> float:
+def point_divergence(x, y, depth: int) -> float:
     """Divergence between point masses: ``loss_L(Phi(x) Phi(y)^{-1})``.
 
-    Vanishes exactly when the two paths trace the same track.
+    ``x`` and ``y`` are paths, or their signatures at ``depth`` when
+    those are already at hand.  Vanishes exactly when the two paths
+    trace the same track.
     """
-    if x.dim != y.dim:
+    sx, sy = (
+        p if isinstance(p, TruncatedTensor) else signature(p, depth) for p in (x, y)
+    )
+    if sx.width != sy.width:
         raise ValueError("paths must share one dimension")
-    return loss_L(mul(signature(x, depth), inverse(signature(y, depth))))
+    return loss_L(mul(sx, inverse(sy)))
 
 
 def expected_signature(mu: EmpiricalMeasure, depth: int) -> TruncatedTensor:
     """Weighted average of path signatures (the flat-geometry act)."""
-    sigs = [signature(p, depth) for p in mu.paths]
-    levels = []
-    for m in range(depth + 1):
-        acc = np.zeros(mu.dim**m)
-        for w, s in zip(mu.weights, sigs):
-            acc += w * s.levels[m]
-        levels.append(acc)
-    return TruncatedTensor(mu.dim, depth, tuple(levels))
+    levels = signatures(mu.paths, depth)
+    return TruncatedTensor(mu.dim, depth, tuple(mu.weights @ lev for lev in levels))
 
 
 def linear_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, depth: int) -> float:
@@ -339,15 +437,6 @@ def linear_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, depth: int) ->
         raise ValueError("measures must share one dimension")
     diff = sub(expected_signature(mu, depth), expected_signature(nu, depth))
     return norm(diff) ** 2
-
-
-def _entropy_of_paths(paths, side, depth, cfg):
-    mu = EmpiricalMeasure.uniform(paths)
-    act, u, prob = _bayes_act_slice(mu, side, depth, cfg)
-    h = float(
-        sum(w * _slice_loss(s, u, side) for w, s in zip(prob.weights, prob.sigs))
-    )
-    return h, act
 
 
 def _draw_rng(seed, *stream):
@@ -373,39 +462,36 @@ def mutual_information(
     finite-sample entropy bias exactly when track and condition are
     independent.  Every draw uses its own derived seed
     ``(seed, stream, index)``, so results do not depend on draw order.
+
+    All ``n_x * (n_u + 1)`` draws are signed in one batch, and the
+    ``n_u + 1`` acts are solved together.
     """
     _check_side(side)
     if n_u < 2 or n_x < 2:
         raise ValueError("need at least two conditions and two paths each")
-    uncond = []
+    draws = []
     for j in range(n_x):
         rng = _draw_rng(seed, 0, j)
-        u = model.sample_condition(rng)
-        uncond.append(model.sample_path(rng, u))
-    h_uncond, act0 = _entropy_of_paths(uncond, side, depth, cfg)
-    cond_entropies = []
-    iterations = act0.iterations
-    grad_norm = act0.grad_norm
-    converged = act0.converged
+        draws.append(model.sample_path(rng, model.sample_condition(rng)))
     for k in range(n_u):
         u = model.sample_condition(_draw_rng(seed, 1, k))
-        fam = [model.sample_path(_draw_rng(seed, 2, k, j), u) for j in range(n_x)]
-        h_k, act_k = _entropy_of_paths(fam, side, depth, cfg)
-        cond_entropies.append(h_k)
-        iterations += act_k.iterations
-        grad_norm = max(grad_norm, act_k.grad_norm)
-        converged = converged and act_k.converged
-    mi = h_uncond - float(np.mean(cond_entropies))
+        draws.extend(model.sample_path(_draw_rng(seed, 2, k, j), u) for j in range(n_x))
+    levels = [lev.reshape(n_u + 1, n_x, -1) for lev in signatures(draws, depth)]
+    weights = np.full((n_u + 1, n_x), 1.0 / n_x)
+    sol = _solve(_quad_forms(levels, weights, side), draws[0].dim, depth, cfg)
+    h = _expected_losses(levels, weights, sol.x, side)
+    cond_entropies = tuple(float(v) for v in h[1:])
     return MIEstimate(
-        mi=mi,
-        entropy=h_uncond,
-        conditional_entropies=tuple(cond_entropies),
+        mi=float(h[0]) - float(np.mean(cond_entropies)),
+        entropy=float(h[0]),
+        conditional_entropies=cond_entropies,
         n_u=n_u,
         n_x=n_x,
         seed=seed,
         side=side,
         depth=depth,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=converged,
+        iterations=int(sol.iterations.sum()),
+        grad_norm=float(sol.grad_norm.max()),
+        converged=bool(sol.converged.all()),
+        condition=float(sol.condition.max()),
     )

@@ -2,8 +2,12 @@
 
 The signature of a path is the collection of its iterated integrals up
 to a truncation degree.  For a piecewise linear path it equals the
-product of tensor exponentials of the segment increments, which is what
-:func:`signature` evaluates, streaming left to right over segments.  It
+product of tensor exponentials of the segment increments (Chen's
+identity).  :func:`signatures` evaluates it for many paths at once: all
+segment exponentials of a block are formed together, multiplied
+pairwise within fixed-length chunks, and the chunk products are folded
+left to right, so the cost is linear in the number of segments and the
+Python-level steps grow only with the number of chunks.  The signature
 depends only on the traced-out track: reparametrization, refinement of
 breakpoints and translation all leave it unchanged.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_algebra import TruncatedTensor, unit
+from .tensor_algebra import TruncatedTensor, exp_levels, mul_levels
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -24,6 +28,7 @@ __all__ = [
     "make_path",
     "from_time_series",
     "signature",
+    "signatures",
     "concat",
     "reverse",
     "translate",
@@ -32,6 +37,15 @@ __all__ = [
     "read_paths_csv",
     "write_paths_csv",
 ]
+
+
+# Segments per pairwise-reduced chunk.  Fixed, so that a path's
+# signature is bit-identical whether it is signed alone or in a batch.
+CHUNK_SEGMENTS = 128
+
+# Segment exponentials held by one step of the batched kernel; blocks
+# of the batch axis are sized to it, which bounds the working set.
+STEP_EXPONENTIALS = 1024
 
 
 class CsvFormatError(ValueError):
@@ -56,6 +70,10 @@ class PiecewiseLinearPath:
             raise ValueError("points must be a nonempty (n, d) array")
         if self.points.shape[1] < 1:
             raise ValueError("paths need at least one coordinate")
+        if not np.isfinite(self.points).all() or (
+            self.times is not None and not np.isfinite(self.times).all()
+        ):
+            raise ValueError("points and times must be finite")
         if self.times is not None:
             if self.times.shape != (self.points.shape[0],):
                 raise ValueError("times must match the number of breakpoints")
@@ -94,31 +112,94 @@ def from_time_series(rows) -> PiecewiseLinearPath:
 
 
 def signature(path: PiecewiseLinearPath, depth: int) -> TruncatedTensor:
-    """Truncated signature, as the left-to-right product of segment
-    exponentials.  Cost is linear in the number of segments."""
+    """Truncated signature, as the product of segment exponentials.
+    Cost is linear in the number of segments."""
+    levels = signatures([path], depth)
+    return TruncatedTensor(path.dim, depth, tuple(lev[0] for lev in levels))
+
+
+def signatures(paths, depth: int) -> list[np.ndarray]:
+    """Signatures of several paths of one dimension, stacked by level:
+    level m has shape ``(len(paths), dim**m)``.
+
+    Paths with the same number of breakpoints are signed in one kernel
+    call.  Each path's result equals :func:`signature` of that path
+    bit for bit.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    d = path.dim
-    if depth == 0 or path.n_segments == 0:
-        return unit(d, depth)
-    levels = [np.zeros(d**m) for m in range(depth + 1)]
-    levels[0][0] = 1.0
-    for v in np.diff(path.points, axis=0):
-        _fold_segment(levels, v, depth)
-    return TruncatedTensor(d, depth, tuple(levels))
+    paths = list(paths)
+    if not paths:
+        raise ValueError("need at least one path")
+    d = paths[0].dim
+    if any(p.dim != d for p in paths):
+        raise ValueError("all paths must share one dimension")
+    out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
+    by_length: dict[int, list[int]] = {}
+    for i, p in enumerate(paths):
+        by_length.setdefault(p.n_segments, []).append(i)
+    for n_segments, idx in by_length.items():
+        chunk, n_chunks, per_step = _chunking(n_segments)
+        # blocks of whole paths, at most one step's worth of chunks each
+        per_block = max(1, per_step // n_chunks)
+        for b in range(0, len(idx), per_block):
+            block = idx[b : b + per_block]
+            points = np.stack([paths[i].points for i in block])
+            for o, lev in zip(out, _sign_block(points, depth)):
+                o[block] = lev
+    return out
 
 
-def _fold_segment(levels: list[np.ndarray], v: np.ndarray, depth: int) -> None:
-    # In-place update levels <- levels * exp(v).  Processing degrees top
-    # down keeps the lower-degree factors at their pre-update values.
-    pows = [None, v]
-    for j in range(2, depth + 1):
-        pows.append(np.multiply.outer(pows[-1], v).reshape(-1) / j)
-    for m in range(depth, 0, -1):
-        acc = levels[m]
-        acc += pows[m]  # scalar part of the running product is 1
-        for j in range(1, m):
-            acc += np.multiply.outer(levels[m - j], pows[j]).reshape(-1)
+def _chunking(n_segments: int) -> tuple[int, int, int]:
+    """``(chunk length, chunks per path, chunks per step)``; a step holds
+    at most ``STEP_EXPONENTIALS`` segment exponentials."""
+    chunk = max(1, min(n_segments, CHUNK_SEGMENTS))
+    return chunk, max(1, -(-n_segments // chunk)), max(1, STEP_EXPONENTIALS // chunk)
+
+
+def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Signature levels of equal-length polylines ``(batch, n + 1, d)``."""
+    batch, n, d = points.shape[0], points.shape[1] - 1, points.shape[2]
+    if n == 0 or depth == 0:
+        ones = [np.zeros((batch, d**m)) for m in range(depth + 1)]
+        ones[0][:] = 1.0
+        return ones
+    chunk, n_chunks, per_step = _chunking(n)
+    increments = np.diff(points, axis=1)
+    # Zero increments pad the last chunk; their exponential is the exact
+    # unit, and multiplying by it leaves every coefficient unchanged.
+    pad = n_chunks * chunk - n
+    if pad:
+        increments = np.concatenate([increments, np.zeros((batch, pad, d))], axis=1)
+    rows = increments.reshape(batch * n_chunks, chunk, d)
+    steps = [
+        _chunk_products(exp_levels(rows[i : i + per_step], depth))
+        for i in range(0, rows.shape[0], per_step)
+    ]
+    prods = [
+        np.concatenate(parts).reshape(batch, n_chunks, -1) for parts in zip(*steps)
+    ]
+    acc = [p[:, 0] for p in prods]
+    for c in range(1, n_chunks):
+        acc = mul_levels(acc, [p[:, c] for p in prods])
+    return acc
+
+
+def _chunk_products(levels: list[np.ndarray]) -> list[np.ndarray]:
+    # Ordered product along axis 1, multiplying neighbours pairwise; an
+    # odd last factor is carried up unchanged to the next round.
+    while levels[0].shape[1] > 1:
+        n = levels[0].shape[1]
+        even = n - n % 2
+        paired = mul_levels(
+            [lev[:, 0:even:2] for lev in levels], [lev[:, 1:even:2] for lev in levels]
+        )
+        if n % 2:
+            paired = [
+                np.concatenate([p, lev[:, -1:]], axis=1) for p, lev in zip(paired, levels)
+            ]
+        levels = paired
+    return [lev[:, 0] for lev in levels]
 
 
 def concat(x: PiecewiseLinearPath, y: PiecewiseLinearPath) -> PiecewiseLinearPath:
@@ -191,7 +272,8 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
     Expected header is ``series_id,t,x1,...,xd`` where the ``t`` column
     is optional.  Rows are grouped by ``series_id`` (series ordered by
     first appearance) and sorted by ``t`` within a series.  Malformed
-    content raises :class:`CsvFormatError` naming the offending line.
+    content, including ``nan`` and ``inf`` values, raises
+    :class:`CsvFormatError` naming the file and the first offending line.
     """
     f, close = _open_maybe(source, "r")
     name = getattr(f, "name", str(source))
@@ -210,7 +292,7 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
     dim = len(header) - first_col
     if dim < 1:
         raise CsvFormatError(f"{name} line 1: no value columns in header")
-    groups: dict[str, list] = {}
+    sids, linenos, data = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -219,30 +301,38 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
                 f"{name} line {lineno}: expected {len(header)} columns, "
                 f"got {len(row)}"
             )
-        sid = row[0].strip()
         try:
-            t = float(row[1]) if has_t else None
-            vals = [float(c) for c in row[first_col:]]
+            data.append([float(c) for c in row[1:]])
         except ValueError:
             raise CsvFormatError(
                 f"{name} line {lineno}: invalid numeric value"
             ) from None
-        groups.setdefault(sid, []).append((t, lineno, vals))
-    if not groups:
+        sids.append(row[0].strip())
+        linenos.append(lineno)
+    if not data:
         raise CsvFormatError(f"{name}: no data rows")
+    values = np.array(data)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = linenos[int(np.argmin(finite))]
+        raise CsvFormatError(f"{name} line {bad}: non-finite value")
+    groups: dict[str, list[int]] = {}
+    for i, sid in enumerate(sids):
+        groups.setdefault(sid, []).append(i)
     out = {}
-    for sid, entries in groups.items():
+    for sid, idx in groups.items():
+        block = values[idx]
         if has_t:
-            entries.sort(key=lambda e: e[0])
-            times = [e[0] for e in entries]
-            for a, b in zip(times, times[1:]):
-                if b <= a:
-                    raise CsvFormatError(
-                        f"{name}: series {sid!r} has duplicate time {b!r}"
-                    )
-            out[sid] = make_path([e[2] for e in entries], times)
+            block = block[np.argsort(block[:, 0], kind="stable")]
+            dup = np.flatnonzero(np.diff(block[:, 0]) <= 0)
+            if dup.size:
+                raise CsvFormatError(
+                    f"{name}: series {sid!r} has duplicate time "
+                    f"{float(block[dup[0] + 1, 0])!r}"
+                )
+            out[sid] = make_path(block[:, 1:], block[:, 0])
         else:
-            out[sid] = make_path([e[2] for e in entries])
+            out[sid] = make_path(block)
     return out
 
 

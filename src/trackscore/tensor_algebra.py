@@ -9,6 +9,14 @@ discarded by every operation (quotient semantics).
 
 All functions are pure and use a fixed summation order, so identical
 inputs give bit-identical outputs.
+
+The products, exponentials and multiplication matrices are computed by
+batch kernels (``mul_levels``, ``exp_levels``, ``lmul_matrices``,
+``rmul_matrices``) on level lists whose arrays carry leading batch axes:
+``levels[m]`` has shape ``(..., width**m)``.  They work elementwise
+along the batch axes, so an element's result does not depend on the
+batch it is computed in.  The functions on :class:`TruncatedTensor` are
+thin wrappers over them.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ __all__ = [
     "sub",
     "scale",
     "mul",
+    "mul_levels",
     "inverse",
     "antipode",
     "exp_of_vector",
+    "exp_levels",
     "degree_one",
     "dilate",
     "inner",
@@ -42,6 +52,9 @@ __all__ = [
     "rmul_adjoint",
     "lmul_matrix",
     "rmul_matrix",
+    "lmul_matrices",
+    "rmul_matrices",
+    "unstack",
     "tensor_dim",
     "flatten",
     "unflatten",
@@ -183,17 +196,29 @@ def scale(c: float, t: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(t.width, t.depth, tuple(c * lev for lev in t.levels))
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Batched flat outer product: (..., p) x (..., q) -> (..., p*q).
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (-1,))
+
+
+def mul_levels(a, b) -> list[np.ndarray]:
+    """Truncated tensor product of two level batches that broadcast
+    against each other: degree m is ``sum_k a_k (x) b_{m-k}``."""
+    out = []
+    for m in range(len(a)):
+        acc = _outer(a[0], b[m])  # a fresh array of the full batch shape
+        for k in range(1, m + 1):
+            acc += _outer(a[k], b[m - k])
+        out.append(acc)
+    return out
+
+
 def mul(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: degree m of the result is
     ``sum_k s_k (x) t_{m-k}``."""
     _check_match(s, t)
-    out = []
-    for m in range(s.depth + 1):
-        acc = np.multiply.outer(s.levels[0], t.levels[m]).reshape(-1)
-        for k in range(1, m + 1):
-            acc += np.multiply.outer(s.levels[k], t.levels[m - k]).reshape(-1)
-        out.append(acc)
-    return TruncatedTensor(s.width, s.depth, tuple(out))
+    return TruncatedTensor(s.width, s.depth, tuple(mul_levels(s.levels, t.levels)))
 
 
 def inverse(t: TruncatedTensor) -> TruncatedTensor:
@@ -227,14 +252,23 @@ def antipode(t: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(t.width, t.depth, tuple(out))
 
 
+def exp_levels(v, depth: int) -> list[np.ndarray]:
+    """Tensor exponentials of a batch of vectors ``v`` of shape
+    ``(..., d)``: degree m is ``v^(x)m / m!``."""
+    v = np.asarray(v, dtype=float)
+    levels = [np.ones(v.shape[:-1] + (1,))]
+    for m in range(1, depth + 1):
+        lev = _outer(levels[-1], v)
+        lev /= m
+        levels.append(lev)
+    return levels
+
+
 def exp_of_vector(v, depth: int) -> TruncatedTensor:
     """Tensor exponential of a degree-one element: degree m is
     ``v^(x)m / m!``."""
     v = np.asarray(v, dtype=float).reshape(-1)
-    levels = [np.ones(1)]
-    for m in range(1, depth + 1):
-        levels.append(np.multiply.outer(levels[-1], v).reshape(-1) / m)
-    return TruncatedTensor(v.shape[0], depth, tuple(levels))
+    return TruncatedTensor(v.shape[0], depth, tuple(exp_levels(v, depth)))
 
 
 def degree_one(v, depth: int) -> TruncatedTensor:
@@ -340,28 +374,54 @@ def unflatten(vec: np.ndarray, width: int, depth: int) -> TruncatedTensor:
     return TruncatedTensor(width, depth, levels)
 
 
+def _mul_matrices(levels, left: bool) -> np.ndarray:
+    # Degree-m rows, degree-j columns hold g_{m-j} (x) I (left) or
+    # I (x) g_{m-j} (right); only the nonzero entries are written.
+    depth = len(levels) - 1
+    width = levels[1].shape[-1] if depth else 1
+    batch = levels[0].shape[:-1]
+    offs = _level_offsets(width, depth)
+    A = np.zeros(batch + (offs[-1], offs[-1]))
+    for m in range(depth + 1):
+        for j in range(m + 1):
+            n, p = width**j, width ** (m - j)
+            a, b = np.arange(p), np.arange(n)
+            if left:  # entry (a*n + b, b) is g_a
+                rows, cols, coef = (a[:, None] * n + b).ravel(), np.tile(b, p), np.repeat(a, n)
+            else:  # entry (b*p + a, b) is g_a
+                rows, cols, coef = (b[:, None] * p + a).ravel(), np.repeat(b, p), np.tile(a, n)
+            A[..., offs[m] + rows, offs[j] + cols] = levels[m - j][..., coef]
+    return A
+
+
+def lmul_matrices(levels) -> np.ndarray:
+    """Matrices of ``x -> g * x`` for a level batch, shape ``(..., D, D)``
+    with ``D = tensor_dim(width, depth)``."""
+    return _mul_matrices(levels, left=True)
+
+
+def rmul_matrices(levels) -> np.ndarray:
+    """Matrices of ``x -> x * g`` for a level batch, shape ``(..., D, D)``."""
+    return _mul_matrices(levels, left=False)
+
+
 def lmul_matrix(g: TruncatedTensor) -> np.ndarray:
     """Matrix of x -> g * x acting on flattened coefficient vectors."""
-    d, M = g.width, g.depth
-    offs = _level_offsets(d, M)
-    A = np.zeros((offs[-1], offs[-1]))
-    for m in range(M + 1):
-        for j in range(m + 1):
-            block = np.kron(g.levels[m - j][:, None], np.eye(d**j))
-            A[offs[m] : offs[m + 1], offs[j] : offs[j + 1]] += block
-    return A
+    return lmul_matrices(g.levels)
 
 
 def rmul_matrix(g: TruncatedTensor) -> np.ndarray:
     """Matrix of x -> x * g acting on flattened coefficient vectors."""
-    d, M = g.width, g.depth
-    offs = _level_offsets(d, M)
-    A = np.zeros((offs[-1], offs[-1]))
-    for m in range(M + 1):
-        for j in range(m + 1):
-            block = np.kron(np.eye(d**j), g.levels[m - j][:, None])
-            A[offs[m] : offs[m + 1], offs[j] : offs[j + 1]] += block
-    return A
+    return rmul_matrices(g.levels)
+
+
+def unstack(levels, width: int) -> list[TruncatedTensor]:
+    """Splits a level batch with one leading axis into tensors."""
+    depth = len(levels) - 1
+    return [
+        TruncatedTensor(width, depth, tuple(lev[i] for lev in levels))
+        for i in range(levels[0].shape[0])
+    ]
 
 
 def to_text(t: TruncatedTensor) -> str:

@@ -322,11 +322,14 @@ def test_criterion_8_mi_experiments(capsys):
     for kind in ("spiral", "warped-mix"):
         mis = {rho: [] for rho in rhos}
         pairs = []
+        converged = True
         for seed in seeds:
             for rho in rhos:
                 est = mi_point(kind, rho, 20, 50, 4, seed)
                 mis[rho].append(est.mi)
                 pairs.append((est.mi, est.entropy))
+                converged = converged and est.converged
+        checks.append((f"{kind}_converged", converged))
         sigma = float(np.std(mis[0.0], ddof=1))
         means = [float(np.mean(mis[rho])) for rho in rhos]
         checks.append((f"{kind}_null_band", abs(means[0]) <= 3.0 * sigma))

@@ -209,3 +209,40 @@ def test_experiment_mi_smoke(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "rho,mi,entropy,n_u,n_x,seed"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", ["sig", "entropy"])
+def test_non_finite_input_is_data_error(tmp_path, command, capsys):
+    f = tmp_path / "bad.csv"
+    f.write_text(STAIRCASE + "s,3.0,nan,1.0\ns,4.0,2.0,inf\n")
+    argv = [command, "--input", str(f)]
+    if command == "sig":
+        argv += ["--out", str(tmp_path / "o.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv line 5" in err and "non-finite" in err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_closed_form_failure_reports_condition(tmp_path, capsys):
+    # 1e90 coordinates overflow the degree-4 signature
+    f = tmp_path / "huge.csv"
+    f.write_text("series_id,x1,x2\ns,0.0,0.0\ns,1e90,0.0\ns,1e90,1e90\n")
+    with pytest.warns(RuntimeWarning):
+        assert main(["entropy", "--input", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert "condition estimate" in err and "max-iters" not in err
+
+
+def test_mi_converges_at_rho_one(capsys):
+    assert main(["mi", "--model", "spiral", "--rho", "1.0",
+                 "--n-u", "4", "--n-x", "10"]) == 0
+    assert float(capsys.readouterr().out.strip()) > 0.0
+
+
+def test_experiment_mi_default_rhos_converge(tmp_path, capsys):
+    out = tmp_path / "mi_sweep.csv"
+    assert main(["experiment-mi-scalar", "--n-u", "3", "--n-x", "6",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 1 + 5  # header + DEFAULT_RHOS

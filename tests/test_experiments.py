@@ -77,3 +77,19 @@ def test_run_mi_experiment_rows():
 def test_format_csv_is_deterministic_text():
     text = format_csv(["a", "b"], [[1.0, 2], [0.1, -3]])
     assert text == "a,b\n1.0,2\n0.1,-3\n"
+
+
+def test_warp_geometric_column_matches_per_row_signing():
+    # batched signing of the warps against signing each pair per row
+    from trackscore.scoring import point_divergence
+    from trackscore.stochastic import SimConfig, brownian, power_warp
+
+    header, rows = run_warp_experiment(
+        p_max=9.0, gammas=(1.0,), depth=3, resolution=0.05, seed=2, n_points=4,
+    )
+    x = brownian(SimConfig(seed=2, horizon=1.0, resolution=0.05, dim=2))
+    col = header.index("geometric_divergence")
+    assert abs(rows[0][col]) <= 1e-12
+    for row in rows:
+        ref = point_divergence(x, power_warp(x, row[0]), 3)
+        assert row[col] == pytest.approx(ref, rel=1e-10, abs=1e-14)

@@ -272,3 +272,63 @@ def test_side_argument_checked():
     mu = EmpiricalMeasure.uniform([p])
     with pytest.raises(ValueError, match="side"):
         bayes_act(mu, "middle", 2)
+
+
+def test_closed_form_matches_descent_and_inverse_form():
+    # the default closed-form act against affine descent under an
+    # explicit tight config, and its entropy against 1/(Q^-1)_00 - 1
+    from trackscore.scoring import _slice_problem
+
+    rng = np.random.default_rng(11)
+    for n_paths in (1, 2, 5):
+        paths = [random_path(rng, int(rng.integers(2, 9))) for _ in range(n_paths)]
+        mu = EmpiricalMeasure.weighted(paths, rng.dirichlet(np.ones(n_paths)))
+        for side in (LEFT, RIGHT):
+            direct = bayes_act(mu, side, 3)
+            descent = bayes_act(mu, side, 3, CFG)
+            assert direct.converged and descent.converged
+            assert direct.iterations == 0 and direct.grad_norm <= 1e-10
+            assert abs(direct.objective - descent.objective) <= 1e-10
+            assert norm(direct.value - descent.value) <= 1e-6
+            quad = _slice_problem(mu, side, 3).quad
+            h = 1.0 / np.linalg.inv(quad)[0, 0] - 1.0
+            assert entropy(mu, side, 3) == pytest.approx(h, rel=1e-10, abs=1e-12)
+            # the Cholesky-diagonal estimate bounds cond_2(Q) from below
+            assert 1.0 <= direct.condition <= np.linalg.cond(quad) * (1.0 + 1e-12)
+
+
+def test_closed_form_failure_is_reported_not_raised():
+    # coordinates of 1e90 overflow the degree-4 signature, so Q cannot
+    # be factorised
+    big = make_path([[0.0, 0.0], [1e90, 0.0], [1e90, 1e90]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = bayes_act(EmpiricalMeasure.uniform([big]), RIGHT, 4)
+    assert not act.converged
+    assert act.iterations == 0 and act.condition == np.inf
+
+
+def test_mutual_information_matches_per_family_entropies():
+    # the batched estimator against one entropy solve per family, on
+    # the draws it documents: stream (seed, 0, j) for the unconditional
+    # family, (seed, 1, k) and (seed, 2, k, j) for family k
+    from trackscore.scoring import _draw_rng
+
+    model, n_u, n_x, seed = _ShiftModel(0.5), 3, 5, 4
+    est = mutual_information(model, n_u, n_x, RIGHT, 3, seed=seed)
+    uncond = []
+    for j in range(n_x):
+        rng = _draw_rng(seed, 0, j)
+        uncond.append(model.sample_path(rng, model.sample_condition(rng)))
+    assert est.entropy == pytest.approx(
+        entropy(EmpiricalMeasure.uniform(uncond), RIGHT, 3), rel=1e-12
+    )
+    for k in range(n_u):
+        u = model.sample_condition(_draw_rng(seed, 1, k))
+        fam = [model.sample_path(_draw_rng(seed, 2, k, j), u) for j in range(n_x)]
+        assert est.conditional_entropies[k] == pytest.approx(
+            entropy(EmpiricalMeasure.uniform(fam), RIGHT, 3), rel=1e-12
+        )
+    assert est.converged and est.iterations == 0
+    with_descent = mutual_information(model, n_u, n_x, RIGHT, 3, CFG, seed=seed)
+    assert with_descent.converged and with_descent.iterations > 0
+    assert with_descent.mi == pytest.approx(est.mi, abs=1e-10)

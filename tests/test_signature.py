@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from trackscore.signature import (
+    CHUNK_SEGMENTS,
+    STEP_EXPONENTIALS,
     CsvFormatError,
     PiecewiseLinearPath,
     concat,
@@ -15,6 +17,7 @@ from trackscore.signature import (
     read_paths_csv,
     reverse,
     signature,
+    signatures,
     time_augment,
     translate,
     write_paths_csv,
@@ -22,11 +25,13 @@ from trackscore.signature import (
 from trackscore.tensor_algebra import (
     antipode,
     dilate,
+    exp_of_vector,
     inverse,
     is_grouplike,
     mul,
     norm,
     unit,
+    unstack,
 )
 
 from oracles import iterated_integrals
@@ -220,3 +225,84 @@ def test_path_validation():
     p = PiecewiseLinearPath(np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert p.n_segments == 1
     np.testing.assert_allclose(p.increments(), [[2.0, 2.0]])
+
+
+def _folded_signature(x, depth):
+    # reference: left fold of segment exponentials, one product per step
+    acc = unit(x.dim, depth)
+    for v in x.increments():
+        acc = mul(acc, exp_of_vector(v, depth))
+    return acc
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_batch_kernel_matches_fold_and_oracle(depth):
+    rng = np.random.default_rng(8)
+    # 0 and 1 segments, odd lengths, and lengths spanning several chunks
+    for n_segments in (0, 1, 2, 5, 7, CHUNK_SEGMENTS + 1, 3 * CHUNK_SEGMENTS + 17):
+        paths = [random_path(rng, n_segments, scale=0.3) for _ in range(3)]
+        batch = unstack(signatures(paths, depth), 2)
+        for x, s in zip(paths, batch):
+            ref = _folded_signature(x, depth)
+            assert norm(s - ref) <= 1e-13 * max(1.0, norm(ref))
+            assert norm(signature(x, depth) - ref) <= 1e-13 * max(1.0, norm(ref))
+            if 0 < n_segments <= 7:
+                o = iterated_integrals(x.points, depth, subdivisions=400)
+                assert norm(s - o) <= 1e-5 * max(1.0, norm(o))
+
+
+def test_signature_bit_identical_alone_and_in_any_batch():
+    rng = np.random.default_rng(9)
+    for n_segments in (5, 100, 2 * CHUNK_SEGMENTS + 3):
+        paths = [random_path(rng, n_segments, scale=0.3) for _ in range(40)]
+        alone = [signature(x, 4) for x in paths]
+        for lo, hi in ((0, 40), (3, 4), (7, 30)):
+            batch = unstack(signatures(paths[lo:hi], 4), 2)
+            for s, ref in zip(batch, alone[lo:hi]):
+                for a, b in zip(s.levels, ref.levels):
+                    assert np.array_equal(a, b)
+    # mixed lengths are signed per length group, in input order
+    mixed = [random_path(rng, n, scale=0.3) for n in (4, 9, 4, 1, 9)]
+    for s, x in zip(unstack(signatures(mixed, 3), 2), mixed):
+        for a, b in zip(s.levels, signature(x, 3).levels):
+            assert np.array_equal(a, b)
+
+
+def test_kernel_working_set_stays_within_step_budget():
+    # by the chunk and block arithmetic of the kernel, not by allocating
+    from trackscore.signature import _chunking
+
+    for batch in (1, 275, 1050):
+        for n_segments in (1, 2, 100, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 20_000, 200_000):
+            chunk, n_chunks, per_step = _chunking(n_segments)
+            assert chunk <= CHUNK_SEGMENTS and chunk * n_chunks >= n_segments
+            assert chunk * (n_chunks - 1) < n_segments
+            rows = batch * n_chunks
+            for start in range(0, rows, per_step):
+                assert min(per_step, rows - start) * chunk <= STEP_EXPONENTIALS
+
+
+def test_signatures_validation():
+    with pytest.raises(ValueError):
+        signatures([], 2)
+    with pytest.raises(ValueError, match="dimension"):
+        signatures([make_path([[0.0], [1.0]]), make_path([[0.0, 0.0], [1.0, 1.0]])], 2)
+    with pytest.raises(ValueError):
+        signatures([make_path([[0.0], [1.0]])], -1)
+
+
+def test_non_finite_values_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_path([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            make_path([[0.0], [1.0]], times=[0.0, bad])
+    text = (
+        "series_id,t,x1\n"
+        "a,0.0,0.0\n"
+        "b,0.0,1.0\n"
+        "b,1.0,inf\n"
+        "a,nan,2.0\n"
+    )
+    with pytest.raises(CsvFormatError, match="line 4: non-finite"):
+        read_paths_csv(io.StringIO(text))
