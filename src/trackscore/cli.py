@@ -8,10 +8,9 @@ parameters, package version and a wall-clock timestamp (the one field
 that varies between reruns).
 
 Exit codes: 0 success, 1 usage error, 2 data error (including
-non-finite values in an input file), 3 numerical failure: the closed-form
-act's quadratic form could not be factorised (the message gives its
-condition estimate), or, when ``--step/--max-iters/--grad-tol`` select
-the iterative solver, the descent exhausted its budget.
+non-finite values in an input file), 3 numerical failure: the act's
+quadratic form could not be factorised (the message gives its condition
+estimate).
 """
 
 from __future__ import annotations
@@ -27,16 +26,15 @@ from .experiments import (
     DEFAULT_GAMMAS,
     DEFAULT_RHOS,
     format_csv,
+    mi_point,
     run_mi_experiment,
     run_warp_experiment,
 )
-from .optimize import DescentConfig
 from .scoring import (
     EmpiricalMeasure,
     bayes_act,
     divergence_with_acts,
     left_loss,
-    mutual_information,
     right_loss,
 )
 from .signature import (
@@ -45,7 +43,6 @@ from .signature import (
     signature,
     time_augment,
 )
-from .stochastic import SimConfig, SpiralModel, WarpedMixModel
 from .tensor_algebra import DimensionMismatchError, to_text
 
 EXIT_OK = 0
@@ -64,8 +61,7 @@ _DATA_ERRORS = (
 
 
 class NumericalFailure(RuntimeError):
-    """An act solve failed: a form that cannot be factorised, or a
-    descent that did not converge within its budget."""
+    """An act solve failed: its quadratic form cannot be factorised."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,32 +132,6 @@ def _write_manifest(out_path: Path, manifest: dict) -> None:
     side.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _descent_config(args) -> DescentConfig | None:
-    # None keeps the closed-form act; any descent flag selects descent,
-    # with DescentConfig's defaults for the flags not given.
-    given = {
-        key: value
-        for key, value in (("step", args.step), ("max_iters", args.max_iters),
-                           ("grad_tol", args.grad_tol))
-        if value is not None
-    }
-    return DescentConfig(**given) if given else None
-
-
-def _add_descent_flags(p) -> None:
-    g = p.add_argument_group(
-        "iterative solver",
-        "Setting any of these flags selects the iterative solver (affine "
-        "descent) in place of the closed-form act.",
-    )
-    g.add_argument("--step", type=_positive_float, default=None,
-                   help="descent step size (default: derived from the data)")
-    g.add_argument("--max-iters", type=_positive_int, default=None,
-                   help="iteration budget per act solve (default 2000)")
-    g.add_argument("--grad-tol", type=_positive_float, default=None,
-                   help="gradient norm stopping tolerance (default 1e-9)")
-
-
 def _read_measure(path: str) -> EmpiricalMeasure:
     series = read_paths_csv(path)
     return EmpiricalMeasure.uniform(series.values())
@@ -223,27 +193,21 @@ def cmd_sig(args) -> int:
     return EXIT_OK
 
 
-def _require_converged(cfg, *results) -> None:
+def _require_converged(*results) -> None:
     # results are BayesAct or MIEstimate records
     for r in results:
-        if r.converged:
-            continue
-        if cfg is None:
+        if not r.converged:
             raise NumericalFailure(
                 "the act's quadratic form is not positive definite to working "
                 f"precision (condition estimate {r.condition:.3g})"
             )
-        raise NumericalFailure(
-            "act solve exhausted its iteration budget; raise --max-iters"
-        )
 
 
 def cmd_divergence(args) -> int:
     nu = _read_measure(args.a)
     mu = _read_measure(args.b)
-    cfg = _descent_config(args)
-    value, act_mu, act_nu = divergence_with_acts(nu, mu, args.side, args.depth, cfg)
-    _require_converged(cfg, act_mu, act_nu)
+    value, act_mu, act_nu = divergence_with_acts(nu, mu, args.side, args.depth)
+    _require_converged(act_mu, act_nu)
     _emit_scalar(
         args, "divergence", "divergence", args.side, args.depth, value,
         len(nu) + len(mu), None,
@@ -257,9 +221,8 @@ def cmd_divergence(args) -> int:
 
 def cmd_entropy(args) -> int:
     mu = _read_measure(args.input)
-    cfg = _descent_config(args)
-    act = bayes_act(mu, args.side, args.depth, cfg)
-    _require_converged(cfg, act)
+    act = bayes_act(mu, args.side, args.depth)
+    _require_converged(act)
     # the act's objective is the expected loss at the act: the entropy
     _emit_scalar(
         args, "entropy", "entropy", args.side, args.depth, act.objective,
@@ -277,9 +240,8 @@ def cmd_score(args) -> int:
         )
     (x,) = xs.values()
     mu = _read_measure(args.measure)
-    cfg = _descent_config(args)
-    act = bayes_act(mu, args.side, args.depth, cfg)
-    _require_converged(cfg, act)
+    act = bayes_act(mu, args.side, args.depth)
+    _require_converged(act)
     value = _side_loss(x, act.value, args.side)
     _emit_scalar(
         args, "score", "score", args.side, args.depth, value,
@@ -290,20 +252,12 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _model_for(args):
-    cfg = SimConfig(seed=0, horizon=args.horizon, resolution=args.resolution, dim=2)
-    if args.model == "spiral":
-        return SpiralModel(args.rho, cfg)
-    return WarpedMixModel(args.rho, cfg)
-
-
 def cmd_mi(args) -> int:
-    cfg = _descent_config(args)
-    est = mutual_information(
-        _model_for(args), args.n_u, args.n_x, args.side, args.depth,
-        cfg, seed=args.seed,
+    est = mi_point(
+        args.model, args.rho, args.n_u, args.n_x, args.depth, args.seed,
+        resolution=args.resolution, horizon=args.horizon, side=args.side,
     )
-    _require_converged(cfg, est)
+    _require_converged(est)
     _emit_scalar(
         args, "mi", "mutual_information", args.side, args.depth, est.mi,
         est.n_u * est.n_x + est.n_x, args.seed, est.iterations, est.grad_norm,
@@ -349,7 +303,7 @@ def _cmd_experiment_mi(args, kind: str, command: str) -> int:
         seed=args.seed,
         resolution=args.resolution,
     )
-    _require_converged(None, *estimates)
+    _require_converged(*estimates)
     out = Path(args.out)
     out.write_text(format_csv(header, rows))
     _write_manifest(
@@ -396,7 +350,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_nonneg_int, default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--out", default=None, help="optional result CSV")
-    _add_descent_flags(p)
     p.set_defaults(func=cmd_divergence)
 
     p = sub.add_parser("entropy", help="entropy of a path file")
@@ -404,7 +357,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_nonneg_int, default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--out", default=None)
-    _add_descent_flags(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("score", help="score one path against a measure")
@@ -413,7 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_nonneg_int, default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--out", default=None)
-    _add_descent_flags(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("mi", help="mutual information for a simulator model")
@@ -427,7 +378,6 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", type=_positive_float, default=1e-2)
     p.add_argument("--horizon", type=_positive_float, default=1.0)
     p.add_argument("--out", default=None)
-    _add_descent_flags(p)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("experiment-warp",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import dtw, soft_dtw
-from .optimize import DescentConfig
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergence
 from .signature import signature, signatures
 from .stochastic import (
@@ -118,14 +117,10 @@ def mi_point(
     resolution: float = 1e-2,
     horizon: float = 1.0,
     side: str = RIGHT,
-    cfg: DescentConfig | None = None,
 ) -> MIEstimate:
-    """Single mutual-information estimate for one model and rho.
-
-    The acts are taken in closed form unless ``cfg`` selects descent.
-    """
+    """Single mutual-information estimate for one model and rho."""
     model = _mi_model(kind, rho, SimConfig(seed=0, horizon=horizon, resolution=resolution, dim=2))
-    return mutual_information(model, n_u, n_x, side, depth, cfg, seed=seed)
+    return mutual_information(model, n_u, n_x, side, depth, seed=seed)
 
 
 def run_mi_experiment(
@@ -138,7 +133,6 @@ def run_mi_experiment(
     resolution: float = 1e-2,
     horizon: float = 1.0,
     side: str = RIGHT,
-    cfg: DescentConfig | None = None,
 ):
     """Mutual information over a rho grid for one conditional model.
 
@@ -155,7 +149,7 @@ def run_mi_experiment(
         )
         est = mi_point(
             kind, float(rho), n_u, n_x, depth, point_seed,
-            resolution=resolution, horizon=horizon, side=side, cfg=cfg,
+            resolution=resolution, horizon=horizon, side=side,
         )
         estimates.append(est)
         rows.append([float(rho), est.mi, est.entropy, n_u, n_x, seed])

@@ -11,14 +11,9 @@ matrix of multiplication by the signature (from the left for the right
 side, from the right for the left side).  Every A is triangular with a
 unit diagonal, so Q is symmetric positive definite and the act has a
 closed form: ``x* = Q^{-1} e_0 / (Q^{-1})_{00}``, with entropy
-``1 / (Q^{-1})_{00} - 1``.  This is the default route, taken from one
-Cholesky factorisation per measure; a factorisation that fails, or a
-non-finite result, is reported as ``converged=False``.
-
-Passing an explicit :class:`~trackscore.optimize.DescentConfig` selects
-the iterative route instead: gradient descent on the slice
-(:func:`~trackscore.optimize.affine_descent`) with the analytic gradient
-``2 Q x`` projected onto degrees >= 1.
+``1 / (Q^{-1})_{00} - 1``.  It is taken from one Cholesky factorisation
+per measure; a factorisation that fails, or a non-finite result, is
+reported as ``converged=False``.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import DescentConfig, affine_descent
+from .optimize import affine_descent  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .signature import PiecewiseLinearPath, signature, signatures
 from .tensor_algebra import (
     TruncatedTensor,
@@ -44,7 +39,6 @@ from .tensor_algebra import (
     rmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     sub,
     unflatten,
-    unit,
     unstack,
 )
 
@@ -100,6 +94,8 @@ class EmpiricalMeasure:
             raise ValueError("all paths must share one dimension")
         if self.weights.shape != (len(self.paths),):
             raise ValueError("need one weight per path")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
@@ -129,9 +125,10 @@ class EmpiricalMeasure:
 class BayesAct:
     """Optimal act for a measure, with solver diagnostics.
 
-    ``iterations`` is 0 for the closed form.  ``grad_norm`` is the norm
-    of the slice gradient at the returned act and ``objective`` the
-    expected loss there (the entropy estimate).  ``condition`` estimates
+    ``iterations`` is always 0: the act is taken in closed form, and the
+    field stays for the result records that report it.  ``grad_norm`` is
+    the norm of the slice gradient at the returned act and ``objective``
+    the expected loss there (the entropy estimate).  ``condition`` estimates
     the condition number of the quadratic form Q: ``(max L_ii / min
     L_ii)^2`` from its Cholesky factor L, a lower bound on the 2-norm
     condition number, or that number itself where the factorisation
@@ -153,7 +150,8 @@ class MIEstimate:
 
     ``entropy`` is the unconditional entropy estimate entering the
     difference; diagnostics aggregate over all internal act solves
-    (total iterations, largest gradient norm and condition number).
+    (largest gradient norm and condition number; ``iterations`` is
+    always 0, as for :class:`BayesAct`).
     """
 
     mi: float
@@ -253,11 +251,9 @@ def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem
 
 
 def _slice_objective(prob: _SliceProblem):
-    return _quadratic(prob.quad, prob.width, prob.depth)
-
-
-def _quadratic(quad: np.ndarray, width: int, depth: int):
     # psi(u) - 1 and its slice gradient, on tensors.
+    quad, width, depth = prob.quad, prob.width, prob.depth
+
     def value(u: TruncatedTensor) -> float:
         vec = flatten(u)
         return float(vec @ (quad @ vec)) - 1.0
@@ -273,7 +269,6 @@ def _quadratic(quad: np.ndarray, width: int, depth: int):
 class _Solution:
     # Slice minimizers of a stack of forms, one row per measure.
     x: np.ndarray
-    iterations: np.ndarray
     grad_norm: np.ndarray
     converged: np.ndarray
     condition: np.ndarray
@@ -320,45 +315,25 @@ def _condition(quads: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return cond
 
 
-def _descend(quad: np.ndarray, width: int, depth: int, cfg: DescentConfig):
-    value, grad = _quadratic(quad, width, depth)
-    # Step 1/lam_max puts the top mode exactly on the stability boundary
-    # (multiplier -1: oscillation the divergence guard cannot see); the 5%
-    # margin keeps every mode strictly contractive.
-    lam_max = float(np.linalg.eigvalsh(quad)[-1])
-    return affine_descent(
-        value, grad, unit(width, depth), cfg, default_step=1.0 / (1.05 * lam_max)
-    )
-
-
-def _solve(quads: np.ndarray, width: int, depth: int, cfg) -> _Solution:
-    """Slice minimizers of a stack of forms ``(k, D, D)``: in closed form
-    when ``cfg`` is None, else by affine descent under ``cfg``."""
+def _solve(quads: np.ndarray) -> _Solution:
+    """Slice minimizers of a stack of forms ``(k, D, D)``, in closed form."""
     chol = _cholesky(quads)
-    if cfg is None:
-        x = _closed_form(chol)
-        grads = 2.0 * np.linalg.norm((quads @ x[..., None])[:, 1:, 0], axis=-1)
-        iterations = np.zeros(len(quads), dtype=int)
-        converged = np.isfinite(x).all(axis=1) & np.isfinite(grads)
-    else:
-        runs = [_descend(q, width, depth, cfg) for q in quads]
-        x = np.stack([flatten(r.minimizer) for r in runs])
-        grads = np.array([r.grad_norm for r in runs])
-        iterations = np.array([r.iterations for r in runs])
-        converged = np.array([r.converged for r in runs])
-    return _Solution(x, iterations, grads, converged, _condition(quads, chol))
+    x = _closed_form(chol)
+    grads = 2.0 * np.linalg.norm((quads @ x[..., None])[:, 1:, 0], axis=-1)
+    converged = np.isfinite(x).all(axis=1) & np.isfinite(grads)
+    return _Solution(x, grads, converged, _condition(quads, chol))
 
 
-def _act(mu: EmpiricalMeasure, side: str, depth: int, cfg):
+def _act(mu: EmpiricalMeasure, side: str, depth: int):
     # The act, its slice point x = act^-1 as a flat vector, and the
     # problem holding the measure's signatures.
     prob = _slice_problem(mu, side, depth)
-    sol = _solve(prob.quad[None], prob.width, depth, cfg)
+    sol = _solve(prob.quad[None])
     x = sol.x[0]
     act = BayesAct(
         value=inverse(unflatten(x, prob.width, depth)),
         side=side,
-        iterations=int(sol.iterations[0]),
+        iterations=0,
         grad_norm=float(sol.grad_norm[0]),
         objective=float(_expected_losses(prob.levels, prob.weights, x, side)),
         converged=bool(sol.converged[0]),
@@ -367,59 +342,60 @@ def _act(mu: EmpiricalMeasure, side: str, depth: int, cfg):
     return act, x, prob
 
 
-def bayes_act(mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> BayesAct:
-    """Minimizer of the expected side loss over unital acts.
+def bayes_act(mu: EmpiricalMeasure, side: str, depth: int) -> BayesAct:
+    """Minimizer of the expected side loss over unital acts, in closed form.
 
     For a point mass this returns the signature of its path.  The
     reported objective is the expected loss at the returned act, i.e.
-    the entropy estimate of the measure.  With ``cfg=None`` the act is
-    taken in closed form; a :class:`DescentConfig` selects affine
-    descent under that configuration.
+    the entropy estimate of the measure.
     """
-    return _act(mu, side, depth, cfg)[0]
+    return _act(mu, side, depth)[0]
 
 
-def score(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> float:
+def score(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int) -> float:
     """Proper score of forecast mu at outcome path x."""
-    _, u, _ = _act(mu, side, depth, cfg)
+    _, u, _ = _act(mu, side, depth)
     return float(_expected_losses(signatures([x], depth), np.ones(1), u, side))
 
 
-def entropy(mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> float:
+def entropy(mu: EmpiricalMeasure, side: str, depth: int) -> float:
     """Expected score of mu against itself (generalized entropy)."""
-    return bayes_act(mu, side, depth, cfg).objective
+    return bayes_act(mu, side, depth).objective
 
 
-def divergence_with_acts(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int, cfg=None):
+def divergence_with_acts(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int):
     """:func:`divergence` together with the acts of mu and nu, in that
     order.  Each measure's paths are signed once; nu's signatures serve
     both the cross term and nu's own entropy."""
     if nu.dim != mu.dim:
         raise ValueError("measures must share one dimension")
-    act_mu, x_mu, _ = _act(mu, side, depth, cfg)
-    act_nu, _, prob_nu = _act(nu, side, depth, cfg)
+    act_mu, x_mu, _ = _act(mu, side, depth)
+    act_nu, _, prob_nu = _act(nu, side, depth)
     cross = _expected_losses(prob_nu.levels, prob_nu.weights, x_mu, side)
     return float(cross) - act_nu.objective, act_mu, act_nu
 
 
-def divergence(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int, cfg=None) -> float:
+def divergence(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int) -> float:
     """Excess expected score of forecasting mu when nu holds.
 
     Nonnegative up to solver tolerance, zero when the measures agree.
     """
-    return divergence_with_acts(nu, mu, side, depth, cfg)[0]
+    return divergence_with_acts(nu, mu, side, depth)[0]
 
 
 def point_divergence(x, y, depth: int) -> float:
     """Divergence between point masses: ``loss_L(Phi(x) Phi(y)^{-1})``.
 
     ``x`` and ``y`` are paths, or their signatures at ``depth`` when
-    those are already at hand.  Vanishes exactly when the two paths
-    trace the same track.
+    those are already at hand (a signature of another depth is a
+    ``ValueError``).  Vanishes exactly when the two paths trace the
+    same track.
     """
     sx, sy = (
         p if isinstance(p, TruncatedTensor) else signature(p, depth) for p in (x, y)
     )
+    if sx.depth != depth or sy.depth != depth:
+        raise ValueError(f"signatures must have depth {depth}, got {sx.depth} and {sy.depth}")
     if sx.width != sy.width:
         raise ValueError("paths must share one dimension")
     return loss_L(mul(sx, inverse(sy)))
@@ -449,7 +425,6 @@ def mutual_information(
     n_x: int,
     side: str,
     depth: int,
-    cfg=None,
     seed: int = 0,
 ) -> MIEstimate:
     """Resampling estimate of the information between track and condition.
@@ -478,7 +453,7 @@ def mutual_information(
         draws.extend(model.sample_path(_draw_rng(seed, 2, k, j), u) for j in range(n_x))
     levels = [lev.reshape(n_u + 1, n_x, -1) for lev in signatures(draws, depth)]
     weights = np.full((n_u + 1, n_x), 1.0 / n_x)
-    sol = _solve(_quad_forms(levels, weights, side), draws[0].dim, depth, cfg)
+    sol = _solve(_quad_forms(levels, weights, side))
     h = _expected_losses(levels, weights, sol.x, side)
     cond_entropies = tuple(float(v) for v in h[1:])
     return MIEstimate(
@@ -490,7 +465,7 @@ def mutual_information(
         seed=seed,
         side=side,
         depth=depth,
-        iterations=int(sol.iterations.sum()),
+        iterations=0,
         grad_norm=float(sol.grad_norm.max()),
         converged=bool(sol.converged.all()),
         condition=float(sol.condition.max()),

@@ -212,7 +212,6 @@ def test_criterion_5_theorem_conformance(capsys):
     # structure theorems at 1e-6 on 10 random 4-path measures,
     # divergence laws and left/right entropy equality at 1e-8
     rng = np.random.default_rng(17)
-    cfg = DescentConfig(max_iters=6000, grad_tol=1e-12)
     depth = 3
     checks = []
     measures = []
@@ -222,16 +221,16 @@ def test_criterion_5_theorem_conformance(capsys):
         y = _random_path(rng, 4)
         sig_y = signature(y, depth)
 
-        a_right = bayes_act(mu, RIGHT, depth, cfg).value
+        a_right = bayes_act(mu, RIGHT, depth).value
         pushed = EmpiricalMeasure.uniform([concat(p, y) for p in mu.paths])
-        a_pushed = bayes_act(pushed, RIGHT, depth, cfg).value
+        a_pushed = bayes_act(pushed, RIGHT, depth).value
         checks.append(
             ("concat_equivariance", norm(a_pushed - mul(a_right, sig_y)) <= 1e-6)
         )
 
-        a_left = bayes_act(mu, LEFT, depth, cfg).value
+        a_left = bayes_act(mu, LEFT, depth).value
         rev = EmpiricalMeasure.uniform([reverse(p) for p in mu.paths])
-        a_rev_right = bayes_act(rev, RIGHT, depth, cfg).value
+        a_rev_right = bayes_act(rev, RIGHT, depth).value
         checks.append(
             ("reversal_duality", norm(a_rev_right - antipode(a_left)) <= 1e-6)
         )
@@ -239,17 +238,17 @@ def test_criterion_5_theorem_conformance(capsys):
         closed = EmpiricalMeasure.uniform(
             list(mu.paths) + [reverse(p) for p in mu.paths]
         )
-        hl = entropy(closed, LEFT, depth, cfg)
-        hr = entropy(closed, RIGHT, depth, cfg)
+        hl = entropy(closed, LEFT, depth)
+        hr = entropy(closed, RIGHT, depth)
         checks.append(("left_right_entropy", abs(hl - hr) <= 1e-8))
 
     for nu, mu in zip(measures, measures[1:]):
         for side in (LEFT, RIGHT):
             checks.append(
-                ("divergence_nonneg", divergence(nu, mu, side, depth, cfg) >= -1e-8)
+                ("divergence_nonneg", divergence(nu, mu, side, depth) >= -1e-8)
             )
             checks.append(
-                ("self_divergence_zero", abs(divergence(mu, mu, side, depth, cfg)) <= 1e-8)
+                ("self_divergence_zero", abs(divergence(mu, mu, side, depth)) <= 1e-8)
             )
     _report(capsys, 5, "theorem conformance", checks)
 

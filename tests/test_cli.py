@@ -90,6 +90,8 @@ def test_usage_errors_exit_one(capsys):
     assert main(["sig", "--input", "x.csv"]) == 1  # --out missing
     assert main(["mi", "--model", "spiral", "--rho", "2.0"]) == 1
     assert main(["no-such-command"]) == 1
+    # the act has no solver settings
+    assert main(["entropy", "--input", "x.csv", "--max-iters", "1"]) == 1
     capsys.readouterr()
 
 
@@ -162,14 +164,6 @@ def test_reruns_are_byte_identical(tmp_path, staircase_csv, capsys):
     m2 = json.loads((tmp_path / "r2.csv.manifest.json").read_text())
     m1.pop("timestamp"), m2.pop("timestamp")
     assert m1 == m2
-
-
-def test_numeric_failure_exit_code(tmp_path, pair_csv, capsys):
-    # one iteration cannot converge; must be reported as exit 3
-    code = main(["entropy", "--input", str(pair_csv), "--depth", "4",
-                 "--max-iters", "1"])
-    assert code == 3
-    assert "max-iters" in capsys.readouterr().err
 
 
 def test_mi_smoke(tmp_path, capsys):

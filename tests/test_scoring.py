@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trackscore.optimize import DescentConfig
+from trackscore.optimize import DescentConfig, affine_descent
 from trackscore.scoring import (
     LEFT,
     RIGHT,
@@ -21,7 +21,7 @@ from trackscore.scoring import (
     score,
 )
 from trackscore.signature import concat, make_path, reverse, signature
-from trackscore.tensor_algebra import antipode, mul, norm, unit
+from trackscore.tensor_algebra import antipode, inverse, mul, norm, unit
 
 CFG = DescentConfig(max_iters=4000, grad_tol=1e-11)
 
@@ -43,6 +43,9 @@ def test_measure_validation():
         EmpiricalMeasure.weighted([p], [0.5])
     with pytest.raises(ValueError):
         EmpiricalMeasure.weighted([p, p], [1.5, -0.5])
+    for bad in ([np.nan, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalMeasure.weighted([p, p], bad)
     with pytest.raises(ValueError):
         EmpiricalMeasure.uniform([p, make_path([[0.0], [1.0]])])
     mu = EmpiricalMeasure.weighted([p, p], [0.25, 0.75])
@@ -63,20 +66,20 @@ def test_point_mass_act_recovers_signature():
     mu = EmpiricalMeasure.uniform([x])
     s = signature(x, 3)
     for side in (LEFT, RIGHT):
-        act = bayes_act(mu, side, 3, CFG)
+        act = bayes_act(mu, side, 3)
         assert act.converged
         assert norm(act.value - s) <= 1e-8
         # the optimal act scores its own point mass at zero loss
-        assert entropy(mu, side, 3, CFG) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(mu, side, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_matches_expected_score():
     rng = np.random.default_rng(1)
     mu = random_measure(rng, 3)
     for side in (LEFT, RIGHT):
-        h = entropy(mu, side, 3, CFG)
+        h = entropy(mu, side, 3)
         expected = sum(
-            w * score(x, mu, side, 3, CFG) for w, x in zip(mu.weights, mu.paths)
+            w * score(x, mu, side, 3) for w, x in zip(mu.weights, mu.paths)
         )
         assert h == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert h >= 0.0
@@ -87,8 +90,8 @@ def test_divergence_nonnegative_and_zero_on_self():
     mu = random_measure(rng, 3)
     nu = random_measure(rng, 4)
     for side in (LEFT, RIGHT):
-        assert divergence(nu, mu, side, 3, CFG) >= -1e-10
-        assert divergence(mu, mu, side, 3, CFG) == 0.0
+        assert divergence(nu, mu, side, 3) >= -1e-10
+        assert divergence(mu, mu, side, 3) == 0.0
 
 
 def test_properness_on_two_point_report():
@@ -97,8 +100,8 @@ def test_properness_on_two_point_report():
     nu = random_measure(rng, 4)
     wrong = random_measure(rng, 2)
     for side in (LEFT, RIGHT):
-        own = entropy(nu, side, 3, CFG)
-        a = bayes_act(wrong, side, 3, CFG).value
+        own = entropy(nu, side, 3)
+        a = bayes_act(wrong, side, 3).value
         loss = right_loss if side == RIGHT else left_loss
         cross = sum(w * loss(x, a) for w, x in zip(nu.weights, nu.paths))
         assert cross >= own - 1e-10
@@ -108,8 +111,8 @@ def test_reversal_duality():
     rng = np.random.default_rng(4)
     mu = random_measure(rng, 3)
     rev = EmpiricalMeasure.weighted([reverse(p) for p in mu.paths], mu.weights)
-    a_left = bayes_act(mu, LEFT, 3, CFG).value
-    a_right_rev = bayes_act(rev, RIGHT, 3, CFG).value
+    a_left = bayes_act(mu, LEFT, 3).value
+    a_right_rev = bayes_act(rev, RIGHT, 3).value
     assert norm(a_right_rev - antipode(a_left)) <= 1e-7
 
 
@@ -118,18 +121,18 @@ def test_concat_equivariance_with_point_mass():
     mu = random_measure(rng, 3)
     y = random_path(rng, 4)
     sig_y = signature(y, 3)
-    a = bayes_act(mu, RIGHT, 3, CFG).value
+    a = bayes_act(mu, RIGHT, 3).value
     pushed = EmpiricalMeasure.weighted(
         [concat(p, y) for p in mu.paths], mu.weights
     )
-    a_pushed = bayes_act(pushed, RIGHT, 3, CFG).value
+    a_pushed = bayes_act(pushed, RIGHT, 3).value
     assert norm(a_pushed - mul(a, sig_y)) <= 1e-7
 
-    b = bayes_act(mu, LEFT, 3, CFG).value
+    b = bayes_act(mu, LEFT, 3).value
     pulled = EmpiricalMeasure.weighted(
         [concat(y, p) for p in mu.paths], mu.weights
     )
-    b_pulled = bayes_act(pulled, LEFT, 3, CFG).value
+    b_pulled = bayes_act(pulled, LEFT, 3).value
     assert norm(b_pulled - mul(sig_y, b)) <= 1e-7
 
 
@@ -140,14 +143,14 @@ def test_entropy_invariant_under_point_translation():
     left_pushed = EmpiricalMeasure.weighted(
         [concat(y, p) for p in mu.paths], mu.weights
     )
-    assert entropy(left_pushed, LEFT, 3, CFG) == pytest.approx(
-        entropy(mu, LEFT, 3, CFG), rel=1e-8, abs=1e-10
+    assert entropy(left_pushed, LEFT, 3) == pytest.approx(
+        entropy(mu, LEFT, 3), rel=1e-8, abs=1e-10
     )
     right_pushed = EmpiricalMeasure.weighted(
         [concat(p, y) for p in mu.paths], mu.weights
     )
-    assert entropy(right_pushed, RIGHT, 3, CFG) == pytest.approx(
-        entropy(mu, RIGHT, 3, CFG), rel=1e-8, abs=1e-10
+    assert entropy(right_pushed, RIGHT, 3) == pytest.approx(
+        entropy(mu, RIGHT, 3), rel=1e-8, abs=1e-10
     )
 
 
@@ -155,8 +158,8 @@ def test_left_right_entropy_agree_on_reversal_closed_family():
     rng = np.random.default_rng(7)
     xs = [random_path(rng, 5) for _ in range(3)]
     closed = EmpiricalMeasure.uniform(xs + [reverse(x) for x in xs])
-    hl = entropy(closed, LEFT, 3, CFG)
-    hr = entropy(closed, RIGHT, 3, CFG)
+    hl = entropy(closed, LEFT, 3)
+    hr = entropy(closed, RIGHT, 3)
     assert hl == pytest.approx(hr, rel=1e-8, abs=1e-10)
 
 
@@ -170,8 +173,8 @@ def test_entropy_concave_in_the_measure():
         np.concatenate([lam * mu.weights, (1 - lam) * nu.weights]),
     )
     for side in (LEFT, RIGHT):
-        h_mix = entropy(mix, side, 3, CFG)
-        bound = lam * entropy(mu, side, 3, CFG) + (1 - lam) * entropy(nu, side, 3, CFG)
+        h_mix = entropy(mix, side, 3)
+        bound = lam * entropy(mu, side, 3) + (1 - lam) * entropy(nu, side, 3)
         assert h_mix >= bound - 1e-10
 
 
@@ -181,6 +184,9 @@ def test_point_divergence_frozen_value():
     assert point_divergence(x, y, 2) == pytest.approx(3.5, rel=1e-12)
     assert point_divergence(x, x, 2) == 0.0
     assert point_divergence(y, x, 2) == pytest.approx(3.5, rel=1e-12)
+    # signatures at another depth are refused, not read at their own
+    with pytest.raises(ValueError, match="depth"):
+        point_divergence(signature(x, 2), signature(y, 2), 4)
 
 
 def test_point_divergence_vanishes_on_reparametrization():
@@ -275,9 +281,10 @@ def test_side_argument_checked():
 
 
 def test_closed_form_matches_descent_and_inverse_form():
-    # the default closed-form act against affine descent under an
-    # explicit tight config, and its entropy against 1/(Q^-1)_00 - 1
-    from trackscore.scoring import _slice_problem
+    # the closed-form act against affine descent on the same slice
+    # objective under a tight config, and its entropy against
+    # 1/(Q^-1)_00 - 1
+    from trackscore.scoring import _slice_objective, _slice_problem
 
     rng = np.random.default_rng(11)
     for n_paths in (1, 2, 5):
@@ -285,12 +292,19 @@ def test_closed_form_matches_descent_and_inverse_form():
         mu = EmpiricalMeasure.weighted(paths, rng.dirichlet(np.ones(n_paths)))
         for side in (LEFT, RIGHT):
             direct = bayes_act(mu, side, 3)
-            descent = bayes_act(mu, side, 3, CFG)
+            prob = _slice_problem(mu, side, 3)
+            quad = prob.quad
+            # step 1/lam_max puts the top mode on the stability boundary;
+            # the 5% margin keeps every mode strictly contractive
+            lam_max = float(np.linalg.eigvalsh(quad)[-1])
+            descent = affine_descent(
+                *_slice_objective(prob), unit(2, 3), CFG,
+                default_step=1.0 / (1.05 * lam_max),
+            )
             assert direct.converged and descent.converged
             assert direct.iterations == 0 and direct.grad_norm <= 1e-10
             assert abs(direct.objective - descent.objective) <= 1e-10
-            assert norm(direct.value - descent.value) <= 1e-6
-            quad = _slice_problem(mu, side, 3).quad
+            assert norm(direct.value - inverse(descent.minimizer)) <= 1e-6
             h = 1.0 / np.linalg.inv(quad)[0, 0] - 1.0
             assert entropy(mu, side, 3) == pytest.approx(h, rel=1e-10, abs=1e-12)
             # the Cholesky-diagonal estimate bounds cond_2(Q) from below
@@ -329,6 +343,3 @@ def test_mutual_information_matches_per_family_entropies():
             entropy(EmpiricalMeasure.uniform(fam), RIGHT, 3), rel=1e-12
         )
     assert est.converged and est.iterations == 0
-    with_descent = mutual_information(model, n_u, n_x, RIGHT, 3, CFG, seed=seed)
-    assert with_descent.converged and with_descent.iterations > 0
-    assert with_descent.mi == pytest.approx(est.mi, abs=1e-10)
