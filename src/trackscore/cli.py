@@ -70,17 +70,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(tok: str) -> int:
-    v = int(tok)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {tok}")
-    return v
+def _int_at_least(k: int):
+    def integer(tok: str) -> int:
+        v = int(tok)
+        if v < k:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {k}, got {tok}")
+        return v
+
+    return integer
 
 
-def _nonneg_int(tok: str) -> int:
-    v = int(tok)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {tok}")
+def _at_least_one(tok: str) -> float:
+    v = float(tok)
+    if not v >= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a value of at least 1, got {tok}")
     return v
 
 
@@ -337,7 +340,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sig", parents=[], help="signatures of CSV series")
     p.add_argument("--input", required=True, help="path CSV (series_id,t,x1,...)")
-    p.add_argument("--depth", type=_nonneg_int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--time-augment", action="store_true",
                    help="prepend the time grid as coordinate 0")
     p.add_argument("--out", required=True,
@@ -347,14 +350,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("divergence", help="divergence between two path files")
     p.add_argument("--a", required=True, help="outcome measure CSV")
     p.add_argument("--b", required=True, help="forecast measure CSV")
-    p.add_argument("--depth", type=_nonneg_int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--out", default=None, help="optional result CSV")
     p.set_defaults(func=cmd_divergence)
 
     p = sub.add_parser("entropy", help="entropy of a path file")
     p.add_argument("--input", required=True)
-    p.add_argument("--depth", type=_nonneg_int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_entropy)
@@ -362,7 +365,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("score", help="score one path against a measure")
     p.add_argument("--x", required=True, help="single-series outcome CSV")
     p.add_argument("--measure", required=True, help="forecast measure CSV")
-    p.add_argument("--depth", type=_nonneg_int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
@@ -370,9 +373,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mi", help="mutual information for a simulator model")
     p.add_argument("--model", choices=["spiral", "warped-mix"], required=True)
     p.add_argument("--rho", type=_unit_interval, required=True)
-    p.add_argument("--n-u", type=_positive_int, default=20)
-    p.add_argument("--n-x", type=_positive_int, default=50)
-    p.add_argument("--depth", type=_nonneg_int, default=4)
+    p.add_argument("--n-u", type=_int_at_least(2), default=20)
+    p.add_argument("--n-x", type=_int_at_least(2), default=50)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=_positive_float, default=1e-2)
@@ -382,10 +385,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment-warp",
                        help="distortion sweep: geometric vs DTW family")
-    p.add_argument("--p-max", type=_positive_float, default=25.0)
-    p.add_argument("--p-points", type=_positive_int, default=13)
+    p.add_argument("--p-max", type=_at_least_one, default=25.0)
+    p.add_argument("--p-points", type=_int_at_least(2), default=13)
     p.add_argument("--gammas", type=_gamma_list, default=list(DEFAULT_GAMMAS))
-    p.add_argument("--depth", type=_nonneg_int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--resolution", type=_positive_float, default=1e-2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -397,9 +400,9 @@ def build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=f"mutual information sweep ({name.split('-')[-1]})")
         p.add_argument("--rhos", type=_rho_list, default=list(DEFAULT_RHOS))
-        p.add_argument("--n-u", type=_positive_int, default=20)
-        p.add_argument("--n-x", type=_positive_int, default=50)
-        p.add_argument("--depth", type=_nonneg_int, default=4)
+        p.add_argument("--n-u", type=_int_at_least(2), default=20)
+        p.add_argument("--n-x", type=_int_at_least(2), default=50)
+        p.add_argument("--depth", type=_int_at_least(0), default=4)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--resolution", type=_positive_float, default=1e-2)
         p.add_argument("--out", required=True)

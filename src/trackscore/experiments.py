@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import dtw, soft_dtw
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergence
-from .signature import signature, signatures
+from .signature import signatures
 from .stochastic import (
     SimConfig,
     SpiralModel,
@@ -85,10 +85,10 @@ def run_warp_experiment(
     )
     self_x = {g: soft_dtw(x, x, g) for g in gammas}
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
-    # power_warp keeps the time grid, so the warps are signed in one batch
+    # power_warp keeps the time grid, so x and its warps are signed in
+    # one batch
     warps = [power_warp(x, p) for p in ps]
-    sig_x = signature(x, depth)
-    sig_warps = unstack(signatures(warps, depth), x.dim)
+    sig_x, *sig_warps = unstack(signatures([x, *warps], depth), x.dim)
     rows = []
     for p, y, sig_y in zip(ps, warps, sig_warps):
         cells = [p, point_divergence(sig_x, sig_y, depth)]

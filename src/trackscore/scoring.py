@@ -8,9 +8,13 @@ divergences and mutual information all derive from that act.
 In the inverted variable ``x = m^{-1}`` the expected loss is
 ``x^T Q x - 1`` on the slice ``x_0 = 1``, with ``Q = E[A^T A]`` and A the
 matrix of multiplication by the signature (from the left for the right
-side, from the right for the left side).  Every A is triangular with a
-unit diagonal, so Q is symmetric positive definite and the act has a
-closed form: ``x* = Q^{-1} e_0 / (Q^{-1})_{00}``, with entropy
+side, from the right for the left side).  Q depends on the measure only
+through the second signature moment ``G = E[s s^T]``: each entry of A is
+a signature coefficient, so Q is gathered from G by a fixed index over
+the ways of splitting a word into a signature word and an act word, and
+no multiplication matrix is formed.  Every A is triangular with a unit
+diagonal, so Q is symmetric positive definite and the act has a closed
+form: ``x* = Q^{-1} e_0 / (Q^{-1})_{00}``, with entropy
 ``1 / (Q^{-1})_{00} - 1``.  It is taken from one Cholesky factorisation
 per measure; a factorisation that fails, or a non-finite result, is
 reported as ``converged=False``.
@@ -30,12 +34,10 @@ from .tensor_algebra import (
     flatten,
     inverse,
     is_unital,
-    lmul_matrices,
     lmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     mul,
     mul_levels,
     norm,
-    rmul_matrices,
     rmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     sub,
     unflatten,
@@ -64,10 +66,6 @@ __all__ = [
 
 LEFT = "left"
 RIGHT = "right"
-
-# Multiplication-matrix entries held at once while a form is assembled;
-# measures are processed in blocks of this size, whole when they fit.
-MATRIX_FLOATS = 1 << 14
 
 
 def _check_side(side: str) -> str:
@@ -210,25 +208,46 @@ class _SliceProblem:
         return unstack(self.levels, self.width)
 
 
+def _gram_index(width: int, depth: int, side: str):
+    """Flat ``D x D`` positions ``(q, g)``: ``Q = E[A^T A]`` is the sum of
+    ``G[g]`` into ``Q[q]``, with ``G = sum_i w_i s_i s_i^T``.
+
+    On the right side ``(s * x)_W`` sums ``s_u x_v`` over the splits ``W =
+    uv``; on the left ``(x * s)_W`` sums over ``W = vu``.  So each word W
+    of length m and each pair of act-word lengths ``j, k <= m`` add
+    ``G[u_j, u_k]`` to ``Q[v_j, v_k]``.
+    """
+    offs = np.cumsum([0] + [width**m for m in range(depth + 1)])
+    q, g = [], []
+    for m in range(depth + 1):
+        words = np.arange(width**m)
+        split = []  # (act word v, signature word u) of each W, per |v|
+        for j in range(m + 1):
+            if side == RIGHT:
+                v, u = words % width**j, words // width**j
+            else:
+                v, u = words // width ** (m - j), words % width ** (m - j)
+            split.append((offs[j] + v, offs[m - j] + u))
+        for vj, uj in split:
+            for vk, uk in split:
+                q.append(vj * offs[-1] + vk)
+                g.append(uj * offs[-1] + uk)
+    return np.concatenate(q), np.concatenate(g)
+
+
 def _quad_forms(levels, weights: np.ndarray, side: str) -> np.ndarray:
     """``Q = sum_i w_i A_i^T A_i`` for each of G measures of n paths:
-    ``levels[m]`` has shape ``(G, n, d**m)`` and ``weights`` ``(G, n)``."""
-    n_measures, n = weights.shape
-    dim = sum(lev.shape[-1] for lev in levels)
-    per_block = max(1, MATRIX_FLOATS // (dim * dim))
-    rows = min(n, per_block)
-    measures = max(1, per_block // n)
-    quads = np.zeros((n_measures, dim, dim))
-    for g in range(0, n_measures, measures):
-        for i in range(0, n, rows):
-            block = (slice(g, g + measures), slice(i, i + rows))
-            lv = [lev[block] for lev in levels]
-            mats = lmul_matrices(lv) if side == RIGHT else rmul_matrices(lv)
-            # sqrt(w_i) A_i stacked row-wise: B^T B = sum_i w_i A_i^T A_i
-            mats *= np.sqrt(weights[block])[..., None, None]
-            stacked = mats.reshape(mats.shape[0], -1, dim)
-            quads[block[0]] += np.swapaxes(stacked, 1, 2) @ stacked
-    return quads
+    ``levels[m]`` has shape ``(G, n, d**m)`` and ``weights`` ``(G, n)``.
+    Gathered from each measure's weighted Gram matrix of signatures."""
+    depth = len(levels) - 1
+    q, g = _gram_index(levels[1].shape[-1] if depth else 1, depth, side)
+    # sqrt(w_i) s_i stacked row-wise: B^T B = sum_i w_i s_i s_i^T
+    stacked = np.concatenate(levels, axis=-1) * np.sqrt(weights)[..., None]
+    n_measures, dim = stacked.shape[0], stacked.shape[-1]
+    gram = (np.swapaxes(stacked, 1, 2) @ stacked).reshape(n_measures, -1)
+    quads = np.zeros((dim * dim, n_measures))
+    np.add.at(quads, q, gram.T[g])
+    return quads.T.reshape(n_measures, dim, dim)
 
 
 def _expected_losses(levels, weights: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
@@ -354,6 +373,8 @@ def bayes_act(mu: EmpiricalMeasure, side: str, depth: int) -> BayesAct:
 
 def score(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int) -> float:
     """Proper score of forecast mu at outcome path x."""
+    if x.dim != mu.dim:
+        raise ValueError("outcome and forecast must share one dimension")
     _, u, _ = _act(mu, side, depth)
     return float(_expected_losses(signatures([x], depth), np.ones(1), u, side))
 

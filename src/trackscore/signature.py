@@ -3,11 +3,13 @@
 The signature of a path is the collection of its iterated integrals up
 to a truncation degree.  For a piecewise linear path it equals the
 product of tensor exponentials of the segment increments (Chen's
-identity).  :func:`signatures` evaluates it for many paths at once: all
-segment exponentials of a block are formed together, multiplied
-pairwise within fixed-length chunks, and the chunk products are folded
-left to right, so the cost is linear in the number of segments and the
-Python-level steps grow only with the number of chunks.  The signature
+identity).  :func:`signatures` evaluates it for many paths at once.
+Each path is cut into fixed-length chunks, and every chunk is signed by
+the fused multiply-exponentiate fold ``S <- S (x) exp(delta)`` in Horner
+form, vectorised over all (path, chunk) rows, so no segment exponential
+is ever formed.  The chunk products are then folded left to right, so
+the cost is linear in the number of segments and the Python-level steps
+grow only with the chunk length and the number of chunks.  The signature
 depends only on the traced-out track: reparametrization, refinement of
 breakpoints and translation all leave it unchanged.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_algebra import TruncatedTensor, exp_levels, mul_levels
+from .tensor_algebra import TruncatedTensor, mul_levels
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -39,13 +41,9 @@ __all__ = [
 ]
 
 
-# Segments per pairwise-reduced chunk.  Fixed, so that a path's
-# signature is bit-identical whether it is signed alone or in a batch.
+# Segments per folded chunk.  Fixed, so that a path's signature is
+# bit-identical whether it is signed alone or in a batch.
 CHUNK_SEGMENTS = 128
-
-# Segment exponentials held by one step of the batched kernel; blocks
-# of the batch axis are sized to it, which bounds the working set.
-STEP_EXPONENTIALS = 1024
 
 
 class CsvFormatError(ValueError):
@@ -138,68 +136,57 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(paths):
         by_length.setdefault(p.n_segments, []).append(i)
-    for n_segments, idx in by_length.items():
-        chunk, n_chunks, per_step = _chunking(n_segments)
-        # blocks of whole paths, at most one step's worth of chunks each
-        per_block = max(1, per_step // n_chunks)
-        for b in range(0, len(idx), per_block):
-            block = idx[b : b + per_block]
-            points = np.stack([paths[i].points for i in block])
-            for o, lev in zip(out, _sign_block(points, depth)):
-                o[block] = lev
+    for idx in by_length.values():
+        for o, lev in zip(out, _sign_block([paths[i].points for i in idx], depth)):
+            o[idx] = lev
     return out
 
 
-def _chunking(n_segments: int) -> tuple[int, int, int]:
-    """``(chunk length, chunks per path, chunks per step)``; a step holds
-    at most ``STEP_EXPONENTIALS`` segment exponentials."""
+def _chunking(n_segments: int) -> tuple[int, int]:
+    """``(chunk length, chunks per path)``."""
     chunk = max(1, min(n_segments, CHUNK_SEGMENTS))
-    return chunk, max(1, -(-n_segments // chunk)), max(1, STEP_EXPONENTIALS // chunk)
+    return chunk, max(1, -(-n_segments // chunk))
 
 
-def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Signature levels of equal-length polylines ``(batch, n + 1, d)``."""
-    batch, n, d = points.shape[0], points.shape[1] - 1, points.shape[2]
+def _units(rows: int, d: int, depth: int) -> list[np.ndarray]:
+    levels = [np.zeros((rows, d**m)) for m in range(depth + 1)]
+    levels[0][:] = 1.0
+    return levels
+
+
+def _sign_block(points: list[np.ndarray], depth: int) -> list[np.ndarray]:
+    """Signature levels of polylines given as equal-shape ``(n + 1, d)``
+    point arrays."""
+    batch, n, d = len(points), points[0].shape[0] - 1, points[0].shape[1]
     if n == 0 or depth == 0:
-        ones = [np.zeros((batch, d**m)) for m in range(depth + 1)]
-        ones[0][:] = 1.0
-        return ones
-    chunk, n_chunks, per_step = _chunking(n)
-    increments = np.diff(points, axis=1)
-    # Zero increments pad the last chunk; their exponential is the exact
-    # unit, and multiplying by it leaves every coefficient unchanged.
-    pad = n_chunks * chunk - n
-    if pad:
-        increments = np.concatenate([increments, np.zeros((batch, pad, d))], axis=1)
+        return _units(batch, d, depth)
+    chunk, n_chunks = _chunking(n)
+    # Zero increments pad the last chunk; folding one in adds exact
+    # zeros, which leaves every coefficient unchanged.  Each path's
+    # increments are written in place from its own points; one subtract
+    # over stacked points would copy both of its operands first.
+    increments = np.zeros((batch, n_chunks * chunk, d))
+    for inc, pts in zip(increments, points):
+        np.subtract(pts[1:], pts[:-1], out=inc[:n])
     rows = increments.reshape(batch * n_chunks, chunk, d)
-    steps = [
-        _chunk_products(exp_levels(rows[i : i + per_step], depth))
-        for i in range(0, rows.shape[0], per_step)
-    ]
-    prods = [
-        np.concatenate(parts).reshape(batch, n_chunks, -1) for parts in zip(*steps)
-    ]
+    acc = _units(rows.shape[0], d, depth)
+    divisors = np.arange(1.0, depth + 1)[:, None, None]
+    for t in range(chunk):
+        scaled = rows[None, :, t] / divisors  # delta / j for j = 1..depth
+        # Degree m of S (x) exp(delta), from the top degree down so that
+        # the lower degrees it reads are still those of S:
+        # ((delta/m + S_1) delta/(m-1) + ... + S_{m-1}) delta/1 + S_m
+        for m in range(depth, 0, -1):
+            horner = scaled[m - 1]
+            for k in range(1, m):
+                horner = (horner + acc[k])[:, :, None] * scaled[m - k - 1][:, None, :]
+                horner = horner.reshape(rows.shape[0], -1)
+            acc[m] += horner
+    prods = [lev.reshape(batch, n_chunks, -1) for lev in acc]
     acc = [p[:, 0] for p in prods]
     for c in range(1, n_chunks):
         acc = mul_levels(acc, [p[:, c] for p in prods])
     return acc
-
-
-def _chunk_products(levels: list[np.ndarray]) -> list[np.ndarray]:
-    # Ordered product along axis 1, multiplying neighbours pairwise; an
-    # odd last factor is carried up unchanged to the next round.
-    while levels[0].shape[1] > 1:
-        n = levels[0].shape[1]
-        even = n - n % 2
-        paired = mul_levels(
-            [lev[:, 0:even:2] for lev in levels], [lev[:, 1:even:2] for lev in levels]
-        )
-        if n % 2:
-            paired = [
-                np.concatenate([p, lev[:, -1:]], axis=1) for p, lev in zip(paired, levels)
-            ]
-        levels = paired
-    return [lev[:, 0] for lev in levels]
 
 
 def concat(x: PiecewiseLinearPath, y: PiecewiseLinearPath) -> PiecewiseLinearPath:

@@ -10,13 +10,12 @@ discarded by every operation (quotient semantics).
 All functions are pure and use a fixed summation order, so identical
 inputs give bit-identical outputs.
 
-The products, exponentials and multiplication matrices are computed by
-batch kernels (``mul_levels``, ``exp_levels``, ``lmul_matrices``,
-``rmul_matrices``) on level lists whose arrays carry leading batch axes:
-``levels[m]`` has shape ``(..., width**m)``.  They work elementwise
-along the batch axes, so an element's result does not depend on the
-batch it is computed in.  The functions on :class:`TruncatedTensor` are
-thin wrappers over them.
+The products and exponentials are computed by batch kernels
+(``mul_levels``, ``exp_levels``) on level lists whose arrays carry
+leading batch axes: ``levels[m]`` has shape ``(..., width**m)``.  They
+work elementwise along the batch axes, so an element's result does not
+depend on the batch it is computed in.  ``mul`` and ``exp_of_vector``
+are thin wrappers over them.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ __all__ = [
     "rmul_adjoint",
     "lmul_matrix",
     "rmul_matrix",
-    "lmul_matrices",
-    "rmul_matrices",
     "unstack",
     "tensor_dim",
     "flatten",
@@ -374,14 +371,12 @@ def unflatten(vec: np.ndarray, width: int, depth: int) -> TruncatedTensor:
     return TruncatedTensor(width, depth, levels)
 
 
-def _mul_matrices(levels, left: bool) -> np.ndarray:
+def _mul_matrix(g: TruncatedTensor, left: bool) -> np.ndarray:
     # Degree-m rows, degree-j columns hold g_{m-j} (x) I (left) or
     # I (x) g_{m-j} (right); only the nonzero entries are written.
-    depth = len(levels) - 1
-    width = levels[1].shape[-1] if depth else 1
-    batch = levels[0].shape[:-1]
+    width, depth, levels = g.width, g.depth, g.levels
     offs = _level_offsets(width, depth)
-    A = np.zeros(batch + (offs[-1], offs[-1]))
+    A = np.zeros((offs[-1], offs[-1]))
     for m in range(depth + 1):
         for j in range(m + 1):
             n, p = width**j, width ** (m - j)
@@ -390,29 +385,18 @@ def _mul_matrices(levels, left: bool) -> np.ndarray:
                 rows, cols, coef = (a[:, None] * n + b).ravel(), np.tile(b, p), np.repeat(a, n)
             else:  # entry (b*p + a, b) is g_a
                 rows, cols, coef = (b[:, None] * p + a).ravel(), np.repeat(b, p), np.tile(a, n)
-            A[..., offs[m] + rows, offs[j] + cols] = levels[m - j][..., coef]
+            A[offs[m] + rows, offs[j] + cols] = levels[m - j][coef]
     return A
-
-
-def lmul_matrices(levels) -> np.ndarray:
-    """Matrices of ``x -> g * x`` for a level batch, shape ``(..., D, D)``
-    with ``D = tensor_dim(width, depth)``."""
-    return _mul_matrices(levels, left=True)
-
-
-def rmul_matrices(levels) -> np.ndarray:
-    """Matrices of ``x -> x * g`` for a level batch, shape ``(..., D, D)``."""
-    return _mul_matrices(levels, left=False)
 
 
 def lmul_matrix(g: TruncatedTensor) -> np.ndarray:
     """Matrix of x -> g * x acting on flattened coefficient vectors."""
-    return lmul_matrices(g.levels)
+    return _mul_matrix(g, left=True)
 
 
 def rmul_matrix(g: TruncatedTensor) -> np.ndarray:
     """Matrix of x -> x * g acting on flattened coefficient vectors."""
-    return rmul_matrices(g.levels)
+    return _mul_matrix(g, left=False)
 
 
 def unstack(levels, width: int) -> list[TruncatedTensor]:

@@ -92,6 +92,15 @@ def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     # the act has no solver settings
     assert main(["entropy", "--input", "x.csv", "--max-iters", "1"]) == 1
+    # out-of-range values are usage errors, refused before any work
+    for argv in (
+        ["mi", "--model", "spiral", "--rho", "0.5", "--n-u", "1"],
+        ["mi", "--model", "spiral", "--rho", "0.5", "--n-x", "1"],
+        ["experiment-mi-scalar", "--n-u", "1", "--out", "x.csv"],
+        ["experiment-warp", "--p-points", "1", "--out", "x.csv"],
+        ["experiment-warp", "--p-max", "0.5", "--out", "x.csv"],
+    ):
+        assert main(argv) == 1, argv
     capsys.readouterr()
 
 

@@ -10,6 +10,7 @@ from trackscore.scoring import (
     EmpiricalMeasure,
     bayes_act,
     divergence,
+    divergence_with_acts,
     entropy,
     expected_signature,
     left_loss,
@@ -21,7 +22,16 @@ from trackscore.scoring import (
     score,
 )
 from trackscore.signature import concat, make_path, reverse, signature
-from trackscore.tensor_algebra import antipode, inverse, mul, norm, unit
+from trackscore.tensor_algebra import (
+    TruncatedTensor,
+    antipode,
+    inverse,
+    lmul_matrix,
+    mul,
+    norm,
+    rmul_matrix,
+    unit,
+)
 
 CFG = DescentConfig(max_iters=4000, grad_tol=1e-11)
 
@@ -233,6 +243,37 @@ def test_slice_gradient_matches_averaged_adjoints():
             g2 = g2 + term * float(2.0 * w)
         g2 = drop_scalar(g2)
         assert norm(g1 - g2) <= 1e-12 * max(1.0, norm(g1))
+
+
+def test_quad_forms_match_per_path_multiplication_matrices():
+    # the form gathered from the Gram matrix against sum_i w_i A_i^T A_i
+    # built from each signature's multiplication matrix
+    from trackscore.scoring import _quad_forms
+
+    rng = np.random.default_rng(12)
+    n_measures, n = 3, 4
+    for width in (1, 2, 3):
+        for depth in range(6):
+            levels = [rng.standard_normal((n_measures, n, width**m)) for m in range(depth + 1)]
+            weights = rng.dirichlet(np.ones(n), size=n_measures)
+            for side, matrix in ((RIGHT, lmul_matrix), (LEFT, rmul_matrix)):
+                quads = _quad_forms(levels, weights, side)
+                for g in range(n_measures):
+                    ref = 0.0
+                    for i in range(n):
+                        s = TruncatedTensor(width, depth, tuple(lev[g, i] for lev in levels))
+                        a = matrix(s)
+                        ref = ref + weights[g, i] * (a.T @ a)
+                    assert np.abs(quads[g] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_mismatched_dimensions_rejected():
+    x = make_path([[0.0], [1.0], [0.5]])
+    mu = EmpiricalMeasure.uniform([make_path([[0.0, 0.0], [1.0, 1.0]])])
+    with pytest.raises(ValueError, match="dimension"):
+        score(x, mu, RIGHT, 3)
+    with pytest.raises(ValueError, match="dimension"):
+        divergence_with_acts(EmpiricalMeasure.uniform([x]), mu, RIGHT, 3)
 
 
 class _ShiftModel:

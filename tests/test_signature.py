@@ -1,13 +1,13 @@
 """Signature map, path operations and CSV ingestion."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trackscore.signature import (
     CHUNK_SEGMENTS,
-    STEP_EXPONENTIALS,
     CsvFormatError,
     PiecewiseLinearPath,
     concat,
@@ -268,18 +268,29 @@ def test_signature_bit_identical_alone_and_in_any_batch():
             assert np.array_equal(a, b)
 
 
-def test_kernel_working_set_stays_within_step_budget():
-    # by the chunk and block arithmetic of the kernel, not by allocating
+def test_kernel_chunking_and_working_set():
     from trackscore.signature import _chunking
 
-    for batch in (1, 275, 1050):
-        for n_segments in (1, 2, 100, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 20_000, 200_000):
-            chunk, n_chunks, per_step = _chunking(n_segments)
-            assert chunk <= CHUNK_SEGMENTS and chunk * n_chunks >= n_segments
-            assert chunk * (n_chunks - 1) < n_segments
-            rows = batch * n_chunks
-            for start in range(0, rows, per_step):
-                assert min(per_step, rows - start) * chunk <= STEP_EXPONENTIALS
+    for n_segments in (1, 2, 100, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 20_000, 200_000):
+        chunk, n_chunks = _chunking(n_segments)
+        assert chunk <= CHUNK_SEGMENTS and chunk * n_chunks >= n_segments
+        assert chunk * (n_chunks - 1) < n_segments
+    # The fold holds one accumulator per (path, chunk) row and never forms
+    # a segment exponential, so its peak allocation stays within a small
+    # multiple of its input points and output signatures.
+    rng = np.random.default_rng(10)
+    for n_paths, n_segments, dim, depth in (
+        (1050, 100, 2, 4), (30, 100, 2, 4), (1, 20_000, 2, 6), (200, 50, 3, 5)
+    ):
+        paths = [random_path(rng, n_segments, dim=dim, scale=0.1) for _ in range(n_paths)]
+        point_bytes = sum(p.points.nbytes for p in paths)
+        tracemalloc.start()
+        try:
+            sig_bytes = sum(lev.nbytes for lev in signatures(paths, depth))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (point_bytes + sig_bytes), (n_paths, n_segments, peak)
 
 
 def test_signatures_validation():
