@@ -1,9 +1,15 @@
 """Dynamic time warping baselines.
 
-Classic DTW and its soft-min relaxation over the step set
-{(1,0), (0,1), (1,1)} with squared Euclidean ground cost and no band
-constraint.  Inputs are paths or plain (n, d) arrays; time grids are
-ignored, only the visited points matter.
+Classic DTW and its soft-min relaxation (Cuturi & Blondel, arXiv
+1703.01541) over the step set {(1,0), (0,1), (1,1)} with squared
+Euclidean ground cost and no band constraint.  Inputs are paths or plain
+(n, d) arrays of finite points; time grids are ignored, only the visited
+points matter.
+
+Soft DTW is batched: :func:`soft_dtws` runs the recursion for many
+(x, y, gamma) rows at once, one anti-diagonal of the DP table per numpy
+step, and :func:`soft_dtw` is its one-row case.  :func:`dtw` stays a
+scalar loop over the full cost matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostMatrix", "cost_matrix", "dtw", "soft_dtw"]
+__all__ = ["CostMatrix", "cost_matrix", "dtw", "soft_dtw", "soft_dtws"]
 
 
 @dataclass(frozen=True)
@@ -29,17 +35,23 @@ def _as_points(obj) -> np.ndarray:
     pts = np.asarray(getattr(obj, "points", obj), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
+    if pts.ndim != 2 or min(pts.shape) < 1:
         raise ValueError("expected a nonempty (n, d) point array")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return pts
 
 
-def cost_matrix(x, y) -> CostMatrix:
-    a, b = _as_points(x), _as_points(y)
+def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[1] != b.shape[1]:
         raise ValueError(
             f"sequences have different dimensions {a.shape[1]} and {b.shape[1]}"
         )
+
+
+def cost_matrix(x, y) -> CostMatrix:
+    a, b = _as_points(x), _as_points(y)
+    _check_dims(a, b)
     diff = a[:, None, :] - b[None, :, :]
     return CostMatrix(a.shape[0], b.shape[0], np.einsum("ijk,ijk->ij", diff, diff))
 
@@ -52,11 +64,12 @@ def dtw(x, y) -> float:
     baseline.
     """
     c = cost_matrix(x, y)
-    entries = c.entries.tolist()
     inf = math.inf
     prev = [0.0] + [inf] * c.cols
     for i in range(c.rows):
-        row = entries[i]
+        # one row of Python floats at a time: converting the whole matrix
+        # up front made the time grow faster than n * m at n = 800
+        row = c.entries[i].tolist()
         cur = [inf] * (c.cols + 1)
         for j in range(1, c.cols + 1):
             best = prev[j]
@@ -69,18 +82,6 @@ def dtw(x, y) -> float:
     return prev[c.cols]
 
 
-def _softmin3(a: float, b: float, c: float, gamma: float) -> float:
-    m = min(a, b, c)
-    if m == math.inf:
-        return m
-    s = (
-        math.exp(-(a - m) / gamma)
-        + math.exp(-(b - m) / gamma)
-        + math.exp(-(c - m) / gamma)
-    )
-    return m - gamma * math.log(s)
-
-
 def soft_dtw(x, y, gamma: float) -> float:
     """Soft-min relaxation of :func:`dtw` at temperature gamma.
 
@@ -88,16 +89,72 @@ def soft_dtw(x, y, gamma: float) -> float:
     lies below the hard min, the value can be negative; in particular
     ``soft_dtw(x, x, gamma) <= 0``.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    c = cost_matrix(x, y)
-    entries = c.entries.tolist()
+    return float(soft_dtws([x], [y], [gamma])[0])
+
+
+def soft_dtws(xs, ys, gammas) -> np.ndarray:
+    """:func:`soft_dtw` of each row ``(xs[k], ys[k], gammas[k])``.
+
+    Rows with the same ``(n, m, d)`` run together over the ``n + m - 1``
+    anti-diagonals of their DP tables.  Each step forms only its own
+    diagonal's costs and keeps the last two diagonals, so the working
+    set is ``O(rows * (n + m) * d)``.  A row gives the same bits alone
+    as in any batch.
+    """
+    xs, ys = [_as_points(x) for x in xs], [_as_points(y) for y in ys]
+    gammas = np.asarray(gammas, dtype=float)
+    if not len(xs) == len(ys) == gammas.size or gammas.ndim != 1:
+        raise ValueError("need one gamma per (x, y) pair")
+    if not (np.isfinite(gammas) & (gammas > 0)).all():
+        raise ValueError("gamma must be finite and positive")
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k, (a, b) in enumerate(zip(xs, ys)):
+        _check_dims(a, b)
+        groups.setdefault((*a.shape, b.shape[0]), []).append(k)
+    out = np.empty(gammas.size)
+    for idx in groups.values():
+        out[idx] = _wavefront(
+            np.stack([xs[k].T for k in idx], axis=1),
+            np.stack([ys[k][::-1].T for k in idx], axis=1),
+            gammas[idx, None],
+        )
+    return out
+
+
+def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Soft DTW of ``x`` against the reversed sequences ``y_rev`` at
+    temperatures ``gamma`` ``(r, 1)``; points are stacked coordinate
+    first, ``(d, r, n)`` and ``(d, r, m)``, so a diagonal's costs are
+    sums of ``(r, L)`` slices.
+
+    Entry ``i`` of the diagonal ``s`` holds ``R[i, s - i]``; cells off
+    the table, and its zero row and column past ``R[0, 0]``, are inf.
+    """
+    _, r, n = x.shape
+    m = y_rev.shape[2]
     inf = math.inf
-    prev = [0.0] + [inf] * c.cols
-    for i in range(c.rows):
-        row = entries[i]
-        cur = [inf] * (c.cols + 1)
-        for j in range(1, c.cols + 1):
-            cur[j] = row[j - 1] + _softmin3(prev[j], cur[j - 1], prev[j - 1], gamma)
-        prev = cur
-    return prev[c.cols]
+    prev2 = np.full((r, n + 1), inf)
+    prev2[:, 0] = 0.0
+    prev1 = np.full((r, n + 1), inf)
+    with np.errstate(over="ignore", divide="ignore"):
+        for s in range(2, n + m + 1):
+            lo, hi = max(1, s - m), min(n, s - 1)
+            # cells (i, s - i) for i in [lo, hi]; y_rev[m - j] is y[j - 1]
+            xi, yj = slice(lo - 1, hi), slice(m - s + lo, m - s + hi + 1)
+            cost = np.square(x[0, :, xi] - y_rev[0, :, yj])
+            for xk, yk in zip(x[1:], y_rev[1:]):
+                cost += np.square(xk[:, xi] - yk[:, yj])
+            up, left, diag = prev1[:, lo - 1:hi], prev1[:, lo:hi + 1], prev2[:, lo - 1:hi]
+            low = np.minimum(np.minimum(up, left), diag)
+            # costs that overflowed leave all three predecessors inf; the
+            # clamp keeps inf - inf out, so such a cell comes out inf
+            np.minimum(low, np.finfo(float).max, out=low)
+            total = (
+                np.exp((low - up) / gamma)
+                + np.exp((low - left) / gamma)
+                + np.exp((low - diag) / gamma)
+            )
+            cur = np.full((r, n + 1), inf)
+            cur[:, lo:hi + 1] = cost + (low - gamma * np.log(total))
+            prev2, prev1 = prev1, cur
+    return prev1[:, n]

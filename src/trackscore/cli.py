@@ -29,6 +29,7 @@ from .experiments import (
     mi_point,
     run_mi_experiment,
     run_warp_experiment,
+    sdtw_columns,
 )
 from .scoring import (
     EmpiricalMeasure,
@@ -106,8 +107,12 @@ def _gamma_list(tok: str) -> list[float]:
         vals = [float(t) for t in tok.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad gamma list {tok!r}") from None
-    if not vals or any(v <= 0 for v in vals):
-        raise argparse.ArgumentTypeError("gammas must be positive numbers")
+    if not vals:
+        raise argparse.ArgumentTypeError("expected at least one gamma")
+    try:
+        sdtw_columns(vals)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return vals
 
 

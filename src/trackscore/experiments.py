@@ -9,9 +9,11 @@ CSV.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .baselines import dtw, soft_dtw
+from .baselines import dtw, soft_dtw, soft_dtws
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergence
 from .signature import signatures
 from .stochastic import (
@@ -25,6 +27,7 @@ from .tensor_algebra import unstack
 
 __all__ = [
     "sdtw_divergence",
+    "sdtw_columns",
     "run_warp_experiment",
     "run_mi_experiment",
     "DEFAULT_GAMMAS",
@@ -35,18 +38,31 @@ DEFAULT_GAMMAS = (1.0, 0.1, 0.01)
 DEFAULT_RHOS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def sdtw_divergence(x, y, gamma: float, self_x: float | None = None, self_y: float | None = None) -> float:
-    """Debiased soft DTW: ``S(x,y) - (S(x,x) + S(y,y)) / 2``.
+def sdtw_divergence(x, y, gamma: float) -> float:
+    """Debiased soft DTW: ``S(x,y) - (S(x,x) + S(y,y)) / 2``
+    (Blondel, Mensch & Vert, arXiv 2010.08354).
 
     Unlike the raw soft value this is nonnegative, vanishes at x = y,
     and recovers plain DTW as gamma -> 0, which makes the gamma family
     directly comparable against the hard baseline.
     """
-    if self_x is None:
-        self_x = soft_dtw(x, x, gamma)
-    if self_y is None:
-        self_y = soft_dtw(y, y, gamma)
-    return soft_dtw(x, y, gamma) - 0.5 * (self_x + self_y)
+    return soft_dtw(x, y, gamma) - 0.5 * (soft_dtw(x, x, gamma) + soft_dtw(y, y, gamma))
+
+
+def sdtw_columns(gammas) -> list[str]:
+    """The warp sweep's soft-DTW column names, one per gamma.
+
+    Raises ``ValueError`` unless every gamma is finite and positive and
+    the names are distinct (``0.1`` and ``0.1000001`` both print as
+    ``sdtw_gamma_0.1``).
+    """
+    gammas = [float(g) for g in gammas]
+    if not all(math.isfinite(g) and g > 0 for g in gammas):
+        raise ValueError("gamma values must be finite and positive")
+    names = [f"sdtw_gamma_{g:g}" for g in gammas]
+    if len(set(names)) != len(names):
+        raise ValueError(f"gamma values give duplicate columns: {', '.join(names)}")
+    return names
 
 
 def _fmt(v: float) -> str:
@@ -73,29 +89,27 @@ def run_warp_experiment(
         raise ValueError("p_max must be at least 1")
     if n_points < 2:
         raise ValueError("need at least two grid points")
-    gammas = tuple(float(g) for g in gammas)
-    if any(g <= 0 for g in gammas):
-        raise ValueError("gamma values must be positive")
+    gammas = [float(g) for g in gammas]
+    header = ["p", "geometric_divergence", *sdtw_columns(gammas), "dtw"]
     cfg = SimConfig(seed=seed, horizon=horizon, resolution=resolution, dim=2)
     x = brownian(cfg)
-    header = (
-        ["p", "geometric_divergence"]
-        + [f"sdtw_gamma_{g:g}" for g in gammas]
-        + ["dtw"]
-    )
-    self_x = {g: soft_dtw(x, x, g) for g in gammas}
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
     # power_warp keeps the time grid, so x and its warps are signed in
     # one batch
     warps = [power_warp(x, p) for p in ps]
     sig_x, *sig_warps = unstack(signatures([x, *warps], depth), x.dim)
+    # every soft value in one kernel call: (x, x), then (x, y) and (y, y)
+    # per warp, each at every gamma
+    pairs = [(x, x)] + [pair for y in warps for pair in ((x, y), (y, y))]
+    soft = soft_dtws(
+        [a for a, _ in pairs for _ in gammas],
+        [b for _, b in pairs for _ in gammas],
+        gammas * len(pairs),
+    ).reshape(len(pairs), len(gammas))
+    sdtw = soft[1::2] - 0.5 * (soft[0] + soft[2::2])
     rows = []
-    for p, y, sig_y in zip(ps, warps, sig_warps):
-        cells = [p, point_divergence(sig_x, sig_y, depth)]
-        for g in gammas:
-            cells.append(sdtw_divergence(x, y, g, self_x=self_x[g]))
-        cells.append(dtw(x, y))
-        rows.append(cells)
+    for p, y, sig_y, sdtw_y in zip(ps, warps, sig_warps, sdtw.tolist()):
+        rows.append([p, point_divergence(sig_x, sig_y, depth), *sdtw_y, dtw(x, y)])
     return header, rows
 
 

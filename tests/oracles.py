@@ -6,9 +6,14 @@ product-of-exponentials code path under test.  Degree k is built from
 the running degree-(k-1) integral by trapezoidal accumulation; on a
 piecewise linear path the degree-1 integrand is exact and higher
 degrees converge at second order in the subdivision width.
+
+The soft-DTW oracle is the textbook row-by-row recursion in Python
+floats, one cell at a time, with its own cost matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,3 +47,29 @@ def iterated_integrals(points, depth: int, subdivisions: int = 200) -> Truncated
         running = np.vstack([np.zeros((1, contrib.shape[1])), np.cumsum(contrib, axis=0)])
         levels.append(running[-1].copy())
     return TruncatedTensor(d, depth, tuple(levels))
+
+
+def soft_dtw_loop(x, y, gamma: float) -> float:
+    """Soft DTW by the scalar recursion over the full DP table."""
+    a = np.asarray(x, dtype=float).reshape(len(x), -1)
+    b = np.asarray(y, dtype=float).reshape(len(y), -1)
+    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1).tolist()
+
+    def softmin3(p: float, q: float, r: float) -> float:
+        low = min(p, q, r)
+        if low == math.inf:
+            return low
+        total = (
+            math.exp(-(p - low) / gamma)
+            + math.exp(-(q - low) / gamma)
+            + math.exp(-(r - low) / gamma)
+        )
+        return low - gamma * math.log(total)
+
+    prev = [0.0] + [math.inf] * len(b)
+    for row in cost:
+        cur = [math.inf] * (len(b) + 1)
+        for j in range(1, len(b) + 1):
+            cur[j] = row[j - 1] + softmin3(prev[j], cur[j - 1], prev[j - 1])
+        prev = cur
+    return prev[len(b)]

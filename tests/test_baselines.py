@@ -1,11 +1,14 @@
 """Alignment baselines: DTW and its smoothed variant."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trackscore.baselines import cost_matrix, dtw, soft_dtw
+from trackscore.baselines import cost_matrix, dtw, soft_dtw, soft_dtws
+
+from oracles import soft_dtw_loop
 
 
 def test_cost_matrix_squared_euclidean():
@@ -75,10 +78,82 @@ def test_soft_dtw_self_value_not_positive():
 
 def test_soft_dtw_rejects_bad_gamma():
     x = np.zeros((2, 1))
-    with pytest.raises(ValueError):
-        soft_dtw(x, x, 0.0)
-    with pytest.raises(ValueError):
-        soft_dtw(x, x, -1.0)
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            soft_dtw(x, x, gamma)
+        with pytest.raises(ValueError):
+            soft_dtws([x, x], [x, x], [1.0, gamma])
+    with pytest.raises(ValueError, match="one gamma per"):
+        soft_dtws([x, x], [x, x], [1.0])
+
+
+def test_non_finite_points_rejected():
+    y = np.zeros((3, 2))
+    for bad in (math.nan, math.inf, -math.inf):
+        x = np.zeros((4, 2))
+        x[2, 1] = bad
+        for call in (cost_matrix, dtw, lambda a, b: soft_dtw(a, b, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                call(x, y)
+            with pytest.raises(ValueError, match="finite"):
+                call(y, x)
+
+
+def _mixed_batch(seed: int):
+    """Rows of every shape class, widths 1 and 3, and gammas from 1e-3
+    to 10, interleaved in one batch."""
+    rng = np.random.default_rng(seed)
+    gammas = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+    xs, ys, gs = [], [], []
+    for n, m in ((1, 1), (1, 7), (6, 1), (5, 9), (9, 5), (8, 8)):
+        for d in (1, 3):
+            for g in gammas:
+                xs.append(rng.standard_normal((n, d)))
+                ys.append(rng.standard_normal((m, d)))
+                gs.append(g)
+    order = rng.permutation(len(gs))
+    return [xs[k] for k in order], [ys[k] for k in order], [gs[k] for k in order]
+
+
+def test_soft_dtws_matches_scalar_recursion():
+    xs, ys, gs = _mixed_batch(4)
+    got = soft_dtws(xs, ys, gs)
+    for x, y, g, v in zip(xs, ys, gs, got):
+        ref = soft_dtw_loop(x, y, g)
+        assert abs(v - ref) <= 1e-12 * (1.0 + abs(ref)), (x.shape, y.shape, g)
+
+
+def test_soft_dtws_row_alone_equals_row_in_batch():
+    xs, ys, gs = _mixed_batch(5)
+    got = soft_dtws(xs, ys, gs)
+    assert [soft_dtw(x, y, g) for x, y, g in zip(xs, ys, gs)] == got.tolist()
+
+
+def test_soft_dtw_overflowing_costs_give_inf():
+    x = np.array([[1e200], [0.0]])
+    y = np.array([[-1e200], [1e200]])
+    with np.errstate(over="ignore"):
+        assert soft_dtw_loop(x, y, 1.0) == math.inf
+        assert dtw(x, y) == math.inf
+    assert soft_dtw(x, y, 1.0) == math.inf
+
+
+def test_soft_dtws_keeps_diagonals_not_tables():
+    # the warp sweep's batch: 81 rows of 101 x 101 points in the plane;
+    # a materialised (rows, n, m) cost tensor alone would be about 25
+    # times the stacked inputs
+    rng = np.random.default_rng(6)
+    xs = [rng.standard_normal((101, 2)) for _ in range(81)]
+    ys = [rng.standard_normal((101, 2)) for _ in range(81)]
+    gs = [(1.0, 0.1, 0.01)[k % 3] for k in range(81)]
+    inputs = sum(a.nbytes + b.nbytes for a, b in zip(xs, ys))
+    tracemalloc.start()
+    try:
+        soft_dtws(xs, ys, gs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * inputs, peak / inputs
 
 
 def test_empty_inputs_rejected():
@@ -88,3 +163,7 @@ def test_empty_inputs_rejected():
         dtw(x, y)
     with pytest.raises(ValueError):
         soft_dtw(y, x, 1.0)
+    # points with no coordinates
+    for call in (dtw, lambda a, b: soft_dtw(a, b, 1.0)):
+        with pytest.raises(ValueError):
+            call(np.zeros((2, 0)), np.zeros((2, 0)))

@@ -99,6 +99,10 @@ def test_usage_errors_exit_one(capsys):
         ["experiment-mi-scalar", "--n-u", "1", "--out", "x.csv"],
         ["experiment-warp", "--p-points", "1", "--out", "x.csv"],
         ["experiment-warp", "--p-max", "0.5", "--out", "x.csv"],
+        ["experiment-warp", "--gammas", "inf", "--out", "x.csv"],
+        ["experiment-warp", "--gammas", "nan", "--out", "x.csv"],
+        # both print as the column sdtw_gamma_0.1
+        ["experiment-warp", "--gammas", "0.1,0.1000001", "--out", "x.csv"],
     ):
         assert main(argv) == 1, argv
     capsys.readouterr()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trackscore.baselines import dtw, soft_dtw
+from trackscore.baselines import dtw, soft_dtws
 from trackscore.experiments import (
     format_csv,
     mi_point,
@@ -19,10 +19,9 @@ def test_sdtw_divergence_properties():
     y = rng.standard_normal((6, 2))
     assert sdtw_divergence(x, x, 1.0) == 0.0
     assert sdtw_divergence(x, y, 1.0) >= 0.0
-    # cached self terms must not change the value
-    full = sdtw_divergence(x, y, 0.5)
-    cached = sdtw_divergence(x, y, 0.5, self_x=soft_dtw(x, x, 0.5))
-    assert cached == pytest.approx(full, rel=1e-14)
+    # the three soft values of one kernel call, combined
+    s_xy, s_xx, s_yy = soft_dtws([x, x, y], [y, x, y], [0.5] * 3)
+    assert sdtw_divergence(x, y, 0.5) == s_xy - 0.5 * (s_xx + s_yy)
     # gamma -> 0 recovers the hard distance
     assert sdtw_divergence(x, y, 1e-4) == pytest.approx(dtw(x, y), abs=1e-2)
 
@@ -48,8 +47,11 @@ def test_warp_experiment_validation():
         run_warp_experiment(p_max=0.5)
     with pytest.raises(ValueError):
         run_warp_experiment(n_points=1)
-    with pytest.raises(ValueError):
-        run_warp_experiment(gammas=(0.0,))
+    for gammas in ((0.0,), (float("inf"),), (float("nan"),)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_warp_experiment(gammas=gammas)
+    with pytest.raises(ValueError, match="duplicate columns"):
+        run_warp_experiment(gammas=(0.1, 0.1000001))
 
 
 def test_mi_point_rejects_unknown_model():
@@ -93,3 +95,18 @@ def test_warp_geometric_column_matches_per_row_signing():
     for row in rows:
         ref = point_divergence(x, power_warp(x, row[0]), 3)
         assert row[col] == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+
+def test_warp_soft_columns_match_per_row_sdtw_divergence():
+    # the sweep's one batched kernel call against each cell on its own
+    from trackscore.stochastic import SimConfig, brownian, power_warp
+
+    gammas = (1.0, 0.1, 0.01)
+    header, rows = run_warp_experiment(
+        p_max=9.0, gammas=gammas, depth=2, resolution=0.05, seed=3, n_points=4,
+    )
+    x = brownian(SimConfig(seed=3, horizon=1.0, resolution=0.05, dim=2))
+    for row in rows:
+        y = power_warp(x, row[0])
+        for g in gammas:
+            assert row[header.index(f"sdtw_gamma_{g:g}")] == sdtw_divergence(x, y, g)
