@@ -35,8 +35,9 @@ from .scoring import (
     EmpiricalMeasure,
     bayes_act,
     divergence_with_acts,
-    left_loss,
-    right_loss,
+    left_loss,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+    right_loss,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+    score_with_act,
 )
 from .signature import (
     CsvFormatError,
@@ -167,10 +168,6 @@ def _emit_scalar(args, command, quantity, side, depth, value, n_samples,
         _write_manifest(out, _manifest(command, params))
 
 
-def _side_loss(path, act_value, side):
-    return right_loss(path, act_value) if side == "right" else left_loss(path, act_value)
-
-
 def cmd_sig(args) -> int:
     series = read_paths_csv(args.input)
     out = Path(args.out)
@@ -248,9 +245,8 @@ def cmd_score(args) -> int:
         )
     (x,) = xs.values()
     mu = _read_measure(args.measure)
-    act = bayes_act(mu, args.side, args.depth)
+    value, act = score_with_act(x, mu, args.side, args.depth)
     _require_converged(act)
-    value = _side_loss(x, act.value, args.side)
     _emit_scalar(
         args, "score", "score", args.side, args.depth, value,
         len(mu), None, act.iterations, act.grad_norm,

@@ -15,13 +15,14 @@ import numpy as np
 
 from .baselines import dtw, soft_dtw, soft_dtws
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergence
-from .signature import signatures
+from .signature import make_path, signatures
 from .stochastic import (
     SimConfig,
     SpiralModel,
     WarpedMixModel,
     brownian,
-    power_warp,
+    power_warp,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+    power_warps,
 )
 from .tensor_algebra import unstack
 
@@ -94,9 +95,9 @@ def run_warp_experiment(
     cfg = SimConfig(seed=seed, horizon=horizon, resolution=resolution, dim=2)
     x = brownian(cfg)
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
-    # power_warp keeps the time grid, so x and its warps are signed in
+    # the warps keep the time grid, so x and its warps are signed in
     # one batch
-    warps = [power_warp(x, p) for p in ps]
+    warps = [make_path(w, x.times) for w in power_warps(x.points, x.times, ps)]
     sig_x, *sig_warps = unstack(signatures([x, *warps], depth), x.dim)
     # every soft value in one kernel call: (x, x), then (x, y) and (y, y)
     # per warp, each at every gamma

@@ -22,12 +22,13 @@ reported as ``converged=False``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optimize import affine_descent  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .signature import PiecewiseLinearPath, signature, signatures
+from .signature import PiecewiseLinearPath, _sign_block, signature, signatures
 from .tensor_algebra import (
     TruncatedTensor,
     drop_scalar,
@@ -55,6 +56,7 @@ __all__ = [
     "right_loss",
     "bayes_act",
     "score",
+    "score_with_act",
     "entropy",
     "divergence",
     "divergence_with_acts",
@@ -371,12 +373,17 @@ def bayes_act(mu: EmpiricalMeasure, side: str, depth: int) -> BayesAct:
     return _act(mu, side, depth)[0]
 
 
-def score(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int) -> float:
-    """Proper score of forecast mu at outcome path x."""
+def score_with_act(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int):
+    """:func:`score` together with the act of mu."""
     if x.dim != mu.dim:
         raise ValueError("outcome and forecast must share one dimension")
-    _, u, _ = _act(mu, side, depth)
-    return float(_expected_losses(signatures([x], depth), np.ones(1), u, side))
+    act, u, _ = _act(mu, side, depth)
+    return float(_expected_losses(signatures([x], depth), np.ones(1), u, side)), act
+
+
+def score(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, depth: int) -> float:
+    """Proper score of forecast mu at outcome path x."""
+    return score_with_act(x, mu, side, depth)[0]
 
 
 def entropy(mu: EmpiricalMeasure, side: str, depth: int) -> float:
@@ -440,6 +447,29 @@ def _draw_rng(seed, *stream):
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
 
 
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_size(n_u: int, n_x: int, points: int, width: int, depth: int) -> None:
+    """Refuses an estimate whose draws, signatures, Gram matrices and
+    forms would not fit in physical memory, before they are allocated.
+    ``points`` is the number of breakpoints per track."""
+    draws = n_x * (n_u + 1)
+    dim = sum(width**m for m in range(depth + 1))
+    need = 8 * (draws * (points * width + dim) + 2 * (n_u + 1) * dim * dim)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"mutual information with n_u={n_u}, n_x={n_x} and depth {depth} "
+            f"needs an estimated {need:,} bytes, more than the {have:,} bytes "
+            "of physical memory"
+        )
+
+
 def mutual_information(
     model,
     n_u: int,
@@ -451,28 +481,41 @@ def mutual_information(
     """Resampling estimate of the information between track and condition.
 
     The model must expose ``sample_condition(rng)`` and
-    ``sample_path(rng, condition)``.  The estimate is the unconditional
-    entropy of ``n_x`` fresh draws (condition marginalized out) minus
-    the mean entropy of ``n_u`` conditional families of ``n_x`` draws
-    each.  Matching the sample count on both sides cancels the
-    finite-sample entropy bias exactly when track and condition are
-    independent.  Every draw uses its own derived seed
-    ``(seed, stream, index)``, so results do not depend on draw order.
+    ``sample_paths(rngs, conditions)``, which returns one track per
+    generator and condition as an ``(n, T + 1, d)`` point array.  The
+    estimate is the unconditional entropy of ``n_x`` fresh draws
+    (condition marginalized out) minus the mean entropy of ``n_u``
+    conditional families of ``n_x`` draws each.  Matching the sample
+    count on both sides cancels the finite-sample entropy bias exactly
+    when track and condition are independent.  Every draw uses its own
+    derived seed ``(seed, stream, index)``, so results do not depend on
+    draw order.
 
-    All ``n_x * (n_u + 1)`` draws are signed in one batch, and the
-    ``n_u + 1`` acts are solved together.
+    All ``n_x * (n_u + 1)`` tracks are drawn in one ``sample_paths``
+    call and signed from that point array in one batch, and the
+    ``n_u + 1`` acts are solved together.  A request whose estimated
+    memory exceeds the machine's physical memory raises ``ValueError``
+    before anything that large is allocated.
     """
     _check_side(side)
     if n_u < 2 or n_x < 2:
         raise ValueError("need at least two conditions and two paths each")
-    draws = []
-    for j in range(n_x):
-        rng = _draw_rng(seed, 0, j)
-        draws.append(model.sample_path(rng, model.sample_condition(rng)))
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    u0 = model.sample_condition(_draw_rng(seed, 1, 0))
+    # a throwaway track of the first conditional family gives the shape
+    _, points, width = model.sample_paths([_draw_rng(seed, 2, 0, 0)], [u0]).shape
+    _check_size(n_u, n_x, points, width, depth)
+    rngs = [_draw_rng(seed, 0, j) for j in range(n_x)]
+    conditions = [model.sample_condition(rng) for rng in rngs]
     for k in range(n_u):
-        u = model.sample_condition(_draw_rng(seed, 1, k))
-        draws.extend(model.sample_path(_draw_rng(seed, 2, k, j), u) for j in range(n_x))
-    levels = [lev.reshape(n_u + 1, n_x, -1) for lev in signatures(draws, depth)]
+        u = model.sample_condition(_draw_rng(seed, 1, k)) if k else u0
+        conditions.extend([u] * n_x)
+        rngs.extend(_draw_rng(seed, 2, k, j) for j in range(n_x))
+    tracks = model.sample_paths(rngs, conditions)
+    if not np.isfinite(tracks).all():
+        raise ValueError("simulated tracks must be finite")
+    levels = [lev.reshape(n_u + 1, n_x, -1) for lev in _sign_block(tracks, depth)]
     weights = np.full((n_u + 1, n_x), 1.0 / n_x)
     sol = _solve(_quad_forms(levels, weights, side))
     h = _expected_losses(levels, weights, sol.x, side)

@@ -2,8 +2,19 @@
 
 All randomness flows through numpy's PCG64 generator.  Top-level
 simulators derive their generator from ``SimConfig.seed``; the sampler
-classes accept an explicit generator so that callers can hand every
-draw its own derived stream and stay order-independent.
+classes take explicit generators, one per draw, so that callers can
+hand every draw its own derived stream and stay order-independent.
+
+A conditional model (:class:`SpiralModel`, :class:`WarpedMixModel`)
+exposes ``sample_condition(rng)`` and ``sample_paths(rngs,
+conditions)``.  The latter draws one track per (generator, condition)
+pair and returns them as one ``(n, T + 1, d)`` point array on the
+model's time grid.  Each generator draws its own randomness in the
+order a single track does; the deterministic part (cumulative sums,
+spiral terms, power warps) is computed for all rows at once.
+``sample_path(rng, condition)`` is its one-row case, returned as a
+path.  Estimators sign the point array directly, with no path object
+per draw (see ``scoring.mutual_information``).
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ __all__ = [
     "SimConfig",
     "brownian",
     "power_warp",
+    "power_warps",
     "sample_omega",
     "spiral_process",
     "warped_mix_process",
@@ -48,21 +60,31 @@ class SimConfig:
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
 
+    @property
+    def times(self) -> np.ndarray:
+        """The uniform time grid ``0, resolution, ..., horizon``."""
+        n = int(round(self.horizon / self.resolution))
+        return np.arange(n + 1) * self.resolution
+
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _grid(horizon: float, resolution: float) -> np.ndarray:
-    n = int(round(horizon / resolution))
-    return np.arange(n + 1) * resolution
+def _brownian_points(rngs, cfg: SimConfig) -> np.ndarray:
+    # (len(rngs), T + 1, d) Brownian points from the origin; each
+    # generator draws its increments as one normal block
+    rngs = list(rngs)
+    n = cfg.times.shape[0] - 1
+    sd = math.sqrt(cfg.resolution)
+    points = np.zeros((len(rngs), n + 1, cfg.dim))
+    for rng, row in zip(rngs, points):
+        np.cumsum(rng.normal(0.0, sd, size=(n, cfg.dim)), axis=0, out=row[1:])
+    return points
 
 
-def _brownian(rng, horizon, resolution, dim) -> PiecewiseLinearPath:
-    times = _grid(horizon, resolution)
-    steps = rng.normal(0.0, math.sqrt(resolution), size=(times.shape[0] - 1, dim))
-    points = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
-    return make_path(points, times)
+def _brownian(rng, cfg: SimConfig) -> PiecewiseLinearPath:
+    return make_path(_brownian_points([rng], cfg)[0], cfg.times)
 
 
 def brownian(cfg: SimConfig) -> PiecewiseLinearPath:
@@ -70,27 +92,62 @@ def brownian(cfg: SimConfig) -> PiecewiseLinearPath:
 
     Increments per coordinate are independent N(0, resolution).
     """
-    return _brownian(_rng(cfg.seed), cfg.horizon, cfg.resolution, cfg.dim)
+    return _brownian(_rng(cfg.seed), cfg)
+
+
+def power_warps(points, times, ps) -> np.ndarray:
+    """Resamples polylines along the warps ``phi(t) = T (t/T)^p``, one
+    per exponent ``p >= 1``, on their shared time grid ``times``.
+
+    ``points`` is one polyline ``(n, d)``, warped by every exponent, or
+    one polyline per exponent ``(len(ps), n, d)``; the result has shape
+    ``(len(ps), n, d)``.  Values are read off each polyline by linear
+    interpolation, with the arithmetic of ``np.interp``, so endpoints are
+    fixed and p = 1 is the identity.
+    """
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    points, times = np.asarray(points, dtype=float), np.asarray(times, dtype=float)
+    if not np.all(ps >= 1):
+        raise ValueError("warp exponent must be at least 1")
+    if times.shape[0] < 2:
+        raise ValueError("power_warp needs at least two breakpoints")
+    one_each = points.ndim == 3 and points.shape[0] == ps.shape[0]
+    if not (points.ndim == 2 or one_each) or points.shape[-2] != times.shape[0]:
+        raise ValueError("need one (n, d) polyline on the n times, or one per exponent")
+    tau = times - times[0]
+    phi = (tau / tau[-1]) ** ps[:, None]
+    phi *= tau[-1]
+    phi[ps == 1.0] = tau
+    # tau[j] <= phi < tau[j + 1].  A phi on a grid time reads its point
+    # exactly, as np.interp does; any other is read off segment j.
+    j = np.searchsorted(tau, phi, side="right") - 1
+    hit = phi == np.take(tau, j)
+    first = np.arange(ps.shape[0])[:, None] * tau.shape[0] if one_each else 0
+    flat = points.reshape(-1, points.shape[-1])
+    exact = flat[(first + j)[hit]]
+    # np.interp's (hi - lo) / dt * (phi - t_lo) + lo, in place over rows
+    # gathered from the flattened polylines; clamping j to the last
+    # segment changes only hits
+    seg = np.minimum(j, tau.shape[0] - 2, out=j)
+    phi -= np.take(tau, seg)
+    dt = np.take(np.diff(tau), seg)
+    seg += first
+    lo = np.take(flat, seg, axis=0)
+    warped = np.take(flat, seg + 1, axis=0)
+    warped -= lo
+    warped /= dt[..., None]
+    warped *= phi[..., None]
+    warped += lo
+    warped[hit] = exact
+    return warped
 
 
 def power_warp(x: PiecewiseLinearPath, p: float) -> PiecewiseLinearPath:
-    """Resamples x along the warp ``phi(t) = T (t/T)^p``, p >= 1.
-
-    The output lives on the original grid; values are read off the
-    polyline by linear interpolation, so endpoints are fixed and p = 1
-    is the identity.
-    """
-    if not p >= 1:
-        raise ValueError("warp exponent must be at least 1")
+    """Resamples x along the warp ``phi(t) = T (t/T)^p``, p >= 1: the
+    one-row case of :func:`power_warps`, on x's own time grid."""
     if x.times is None:
         raise ValueError("power_warp needs a timed path")
-    if p == 1.0:
-        return make_path(x.points.copy(), x.times.copy(), dict(x.meta))
-    tau = x.times - x.times[0]
-    horizon = tau[-1]
-    phi = horizon * (tau / horizon) ** p
-    cols = [np.interp(phi, tau, x.points[:, k]) for k in range(x.dim)]
-    return make_path(np.column_stack(cols), x.times.copy())
+    return make_path(power_warps(x.points, x.times, [p])[0], x.times.copy())
 
 
 def sample_omega(rng_or_seed) -> float:
@@ -99,12 +156,17 @@ def sample_omega(rng_or_seed) -> float:
     return float(rng.uniform(0.0, OMEGA_MAX))
 
 
-def _spiral(rng, rho, omega, horizon, resolution) -> PiecewiseLinearPath:
-    noise = _brownian(rng, horizon, resolution, 2)
-    t = noise.times
-    det = np.column_stack([t * np.cos(omega * t), t * np.sin(omega * t)])
-    points = rho * det + math.sqrt(1.0 - rho * rho) * noise.points
-    return make_path(points, t)
+def _mix(rho: float, signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    # rho signal + sqrt(1 - rho^2) noise, computed in the two inputs
+    signal *= rho
+    noise *= math.sqrt(1.0 - rho * rho)
+    signal += noise
+    return signal
+
+
+def _check_rho(rho: float) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
 
 
 def spiral_process(rho: float, omega: float, cfg: SimConfig) -> PiecewiseLinearPath:
@@ -113,30 +175,7 @@ def spiral_process(rho: float, omega: float, cfg: SimConfig) -> PiecewiseLinearP
     ``rho`` in [0, 1] interpolates between pure noise (0) and the
     deterministic spiral ``t (cos omega t, sin omega t)`` (1).
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    if cfg.dim != 2:
-        raise ValueError("spiral process is planar; use dim=2")
-    return _spiral(_rng(cfg.seed), rho, omega, cfg.horizon, cfg.resolution)
-
-
-def _warped_mix(rng, rho, cfg, p=None):
-    # Draw order is fixed: base path, warp exponent, then noise path.
-    # The exponent draw is consumed even when overridden so that x and
-    # y stay put when p is pinned from outside.
-    x = _brownian(rng, cfg.horizon, cfg.resolution, cfg.dim)
-    drawn = float(rng.uniform(1.0, 10.0))
-    if p is None:
-        p = drawn
-    y = _brownian(rng, cfg.horizon, cfg.resolution, cfg.dim)
-    z = _mix_with(x, rho, p, y)
-    return x, z, p
-
-
-def _mix_with(x, rho, p, y) -> PiecewiseLinearPath:
-    xw = power_warp(x, p)
-    points = rho * xw.points + math.sqrt(1.0 - rho * rho) * y.points
-    return make_path(points, x.times.copy())
+    return SpiralModel(rho, cfg).sample_path(_rng(cfg.seed), omega)
 
 
 def warped_mix_process(rho: float, cfg: SimConfig, p: float | None = None):
@@ -146,9 +185,16 @@ def warped_mix_process(rho: float, cfg: SimConfig, p: float | None = None):
     Returns ``(x, z, p)``.  Passing ``p`` overrides the draw (the two
     remaining draws keep their positions in the stream).
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    return _warped_mix(_rng(cfg.seed), rho, cfg, p)
+    _check_rho(rho)
+    # Draw order is fixed: base path, warp exponent, then noise path.
+    rng = _rng(cfg.seed)
+    x = _brownian(rng, cfg)
+    drawn = float(rng.uniform(1.0, 10.0))
+    if p is None:
+        p = drawn
+    noise = _brownian_points([rng], cfg)
+    z = _mix(rho, power_warps(x.points, x.times, [p]), noise)[0]
+    return x, make_path(z, x.times.copy()), p
 
 
 @dataclass(frozen=True)
@@ -160,16 +206,24 @@ class SpiralModel:
     cfg: SimConfig
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
+        _check_rho(self.rho)
         if self.cfg.dim != 2:
             raise ValueError("spiral model is planar; use dim=2")
 
     def sample_condition(self, rng) -> float:
         return sample_omega(rng)
 
+    def sample_paths(self, rngs, conditions) -> np.ndarray:
+        """One track per generator and angular velocity, stacked
+        ``(n, T + 1, 2)``."""
+        noise = _brownian_points(rngs, self.cfg)
+        t = self.cfg.times
+        wt = np.asarray(conditions, dtype=float)[:, None] * t
+        spiral = np.stack([t * np.cos(wt), t * np.sin(wt)], axis=-1)
+        return _mix(self.rho, spiral, noise)
+
     def sample_path(self, rng, condition: float) -> PiecewiseLinearPath:
-        return _spiral(rng, self.rho, condition, self.cfg.horizon, self.cfg.resolution)
+        return make_path(self.sample_paths([rng], [condition])[0], self.cfg.times)
 
 
 @dataclass(frozen=True)
@@ -181,13 +235,19 @@ class WarpedMixModel:
     cfg: SimConfig
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
+        _check_rho(self.rho)
 
     def sample_condition(self, rng) -> PiecewiseLinearPath:
-        return _brownian(rng, self.cfg.horizon, self.cfg.resolution, self.cfg.dim)
+        return _brownian(rng, self.cfg)
+
+    def sample_paths(self, rngs, conditions) -> np.ndarray:
+        """One track per generator and base path, stacked
+        ``(n, T + 1, d)``.  Each generator draws its warp exponent, then
+        its noise."""
+        rngs = list(rngs)
+        ps = [rng.uniform(1.0, 10.0) for rng in rngs]
+        warped = power_warps(np.stack([c.points for c in conditions]), self.cfg.times, ps)
+        return _mix(self.rho, warped, _brownian_points(rngs, self.cfg))
 
     def sample_path(self, rng, condition: PiecewiseLinearPath) -> PiecewiseLinearPath:
-        p = float(rng.uniform(1.0, 10.0))
-        y = _brownian(rng, self.cfg.horizon, self.cfg.resolution, self.cfg.dim)
-        return _mix_with(condition, self.rho, p, y)
+        return make_path(self.sample_paths([rng], [condition])[0], self.cfg.times)

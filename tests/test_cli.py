@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from trackscore.cli import main
+from trackscore.scoring import EmpiricalMeasure, bayes_act, left_loss, right_loss
+from trackscore.signature import make_path, read_paths_csv, write_paths_csv
 
 STAIRCASE = (
     "series_id,t,x1,x2\n"
@@ -253,3 +256,32 @@ def test_experiment_mi_default_rhos_converge(tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(out.read_text().splitlines()) == 1 + 5  # header + DEFAULT_RHOS
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_score_is_the_loss_of_the_act(tmp_path, side, capsys):
+    # the CLI's score against the tensor route: re-sign the outcome and
+    # apply the inverted act on the chosen side
+    rng = np.random.default_rng(5)
+    walk = lambda: make_path(np.cumsum(0.3 * rng.standard_normal((8, 2)), axis=0))
+    write_paths_csv({f"m{k}": walk() for k in range(6)}, tmp_path / "measure.csv")
+    write_paths_csv({"x": walk()}, tmp_path / "x.csv")
+    assert main(["score", "--x", str(tmp_path / "x.csv"),
+                 "--measure", str(tmp_path / "measure.csv"),
+                 "--depth", "3", "--side", side]) == 0
+    printed = float(capsys.readouterr().out)
+    (x,) = read_paths_csv(tmp_path / "x.csv").values()
+    mu = EmpiricalMeasure.uniform(read_paths_csv(tmp_path / "measure.csv").values())
+    act = bayes_act(mu, side, 3).value
+    loss = right_loss(x, act) if side == "right" else left_loss(x, act)
+    assert printed == pytest.approx(loss, rel=1e-12)
+
+
+def test_mi_too_large_for_memory_is_data_error(capsys):
+    # refused by arithmetic before any draw is allocated: 101 points of
+    # width 2 per track and D = 31 at depth 4
+    n = 10**6
+    need = 8 * (n * (n + 1) * (101 * 2 + 31) + 2 * (n + 1) * 31 * 31)
+    assert main(["mi", "--model", "spiral", "--rho", "0.5",
+                 "--n-u", str(n), "--n-x", str(n)]) == 2
+    assert f"needs an estimated {need:,} bytes" in capsys.readouterr().err

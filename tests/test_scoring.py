@@ -290,6 +290,9 @@ class _ShiftModel:
         steps[:, 0] += self.strength * condition / 4.0
         return make_path(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
 
+    def sample_paths(self, rngs, conditions):
+        return np.stack([self.sample_path(r, c).points for r, c in zip(rngs, conditions)])
+
 
 def test_mutual_information_validation_and_determinism():
     model = _ShiftModel(0.0)
@@ -384,3 +387,70 @@ def test_mutual_information_matches_per_family_entropies():
             entropy(EmpiricalMeasure.uniform(fam), RIGHT, 3), rel=1e-12
         )
     assert est.converged and est.iterations == 0
+
+
+@pytest.mark.parametrize("kind, most", [("spiral", 0), ("warped-mix", 25 + 10)])
+def test_mutual_information_builds_no_path_per_draw(monkeypatch, kind, most):
+    # the 275 draws are signed from one point array; the only path
+    # objects are warped-mix conditions (its base paths), n_x + n_u
+    from trackscore.signature import PiecewiseLinearPath
+    from trackscore.stochastic import SimConfig, SpiralModel, WarpedMixModel
+
+    built = []
+    post_init = PiecewiseLinearPath.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PiecewiseLinearPath, "__post_init__", counting)
+    model = (SpiralModel if kind == "spiral" else WarpedMixModel)(0.5, SimConfig(resolution=0.05))
+    est = mutual_information(model, 10, 25, RIGHT, 3, seed=1)
+    assert est.converged
+    assert len(built) <= most
+
+
+def test_mutual_information_size_guard(monkeypatch):
+    # refused before the draws: the model makes the probe's condition
+    # and track, and nothing more.  _ShiftModel tracks have 5 points of
+    # width 2; depth 2 has D = 7.
+    from trackscore import scoring
+
+    class Probed(_ShiftModel):
+        def __init__(self, strength):
+            super().__init__(strength)
+            self.calls = []
+
+        def sample_condition(self, rng):
+            self.calls.append("condition")
+            assert len(self.calls) == 1, "drew past the probe"
+            return super().sample_condition(rng)
+
+        def sample_paths(self, rngs, conditions):
+            self.calls.append(len(rngs))
+            return super().sample_paths(rngs, conditions)
+
+    n_u = 10**12
+    need = 8 * (2 * (n_u + 1) * (5 * 2 + 7) + 2 * (n_u + 1) * 7 * 7)
+    model = Probed(0.5)
+    with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
+        mutual_information(model, n_u, 2, RIGHT, 2)
+    assert model.calls == ["condition", 1]
+    # the bound is the estimate itself
+    need = 8 * (2 * 3 * (5 * 2 + 7) + 2 * 3 * 7 * 7)
+    monkeypatch.setattr(scoring, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"{need:,} bytes"):
+        mutual_information(_ShiftModel(0.5), 2, 2, RIGHT, 2)
+    monkeypatch.setattr(scoring, "_physical_memory", lambda: need)
+    assert mutual_information(_ShiftModel(0.5), 2, 2, RIGHT, 2).converged
+
+
+def test_mutual_information_rejects_non_finite_tracks():
+    class Overflowing(_ShiftModel):
+        def sample_paths(self, rngs, conditions):
+            tracks = super().sample_paths(rngs, conditions)
+            tracks[-1, -1, 0] = np.inf
+            return tracks
+
+    with pytest.raises(ValueError, match="finite"):
+        mutual_information(Overflowing(0.5), 2, 3, RIGHT, 2)

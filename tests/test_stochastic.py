@@ -13,6 +13,7 @@ from trackscore.stochastic import (
     WarpedMixModel,
     brownian,
     power_warp,
+    power_warps,
     sample_omega,
     spiral_process,
     warped_mix_process,
@@ -174,3 +175,79 @@ def test_warped_mix_model_protocol():
     assert track.points.shape == base.points.shape
     with pytest.raises(ValueError):
         WarpedMixModel(-0.2, SimConfig())
+
+
+def _stream(*keys):
+    return np.random.default_rng(np.random.SeedSequence((9,) + keys))
+
+
+def _interp_warp(x, p):
+    # power_warp as one np.interp per coordinate
+    tau = x.times - x.times[0]
+    phi = tau[-1] * (tau / tau[-1]) ** p
+    return np.column_stack([np.interp(phi, tau, x.points[:, k]) for k in range(x.dim)])
+
+
+def _one_track(model, rng, condition):
+    # one draw written out step by step, independently of sample_paths
+    cfg = model.cfg
+    t = cfg.times
+    p = rng.uniform(1.0, 10.0) if isinstance(model, WarpedMixModel) else None
+    steps = rng.normal(0.0, math.sqrt(cfg.resolution), size=(t.shape[0] - 1, cfg.dim))
+    noise = np.vstack([np.zeros(cfg.dim), np.cumsum(steps, axis=0)])
+    if p is None:
+        signal = np.column_stack([t * np.cos(condition * t), t * np.sin(condition * t)])
+    else:
+        signal = _interp_warp(condition, p)
+    return model.rho * signal + math.sqrt(1.0 - model.rho * model.rho) * noise
+
+
+@pytest.mark.parametrize("model_cls", [SpiralModel, WarpedMixModel])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("grid", [{}, {"horizon": 2.0, "resolution": 0.05}])
+def test_sample_paths_rows_equal_single_draws(model_cls, rho, grid):
+    # row i of one batched call, bit for bit, against sample_path and a
+    # step-by-step draw, each on a fresh copy of stream i; conditions
+    # repeat across rows as in a conditional family
+    model = model_cls(rho, SimConfig(**grid))
+    conditions = [model.sample_condition(_stream(100, k)) for k in range(3)]
+    conditions = [conditions[i % 3] for i in range(7)]
+    batch = model.sample_paths([_stream(i) for i in range(7)], conditions)
+    assert batch.shape == (7, model.cfg.times.shape[0], 2)
+    for i, u in enumerate(conditions):
+        assert np.array_equal(batch[i], model.sample_path(_stream(i), u).points)
+        assert np.array_equal(batch[i], _one_track(model, _stream(i), u))
+
+
+@pytest.mark.parametrize("grid", [{}, {"horizon": 2.0, "resolution": 0.05}])
+def test_power_warps_equal_interp(grid):
+    # the warp sweep's exponents against np.interp, bit for bit, and
+    # p = 1 as the identity.  Seed 0 at the default grid ends on a
+    # point where slope * dt + lo misses the last point by an ulp.
+    ps = np.geomspace(1.0, 25.0, 13)
+    for seed in range(5):
+        x = brownian(SimConfig(seed=seed, dim=3, **grid))
+        rows = power_warps(x.points, x.times, ps)
+        assert rows.shape == (13, *x.points.shape)
+        assert np.array_equal(rows[0], x.points)
+        for p, row in zip(ps[1:], rows[1:]):
+            assert np.array_equal(row, _interp_warp(x, p))
+
+
+def test_power_warp_is_one_row_of_power_warps():
+    x = brownian(SimConfig(seed=4, horizon=2.0, resolution=0.05))
+    ps = [1.0, 2.5, 25.0]
+    rows = power_warps(x.points, x.times, ps)
+    for p, row in zip(ps, rows):
+        assert np.array_equal(power_warp(x, p).points, row)
+    # one polyline per exponent
+    bases = [brownian(SimConfig(seed=s, horizon=2.0, resolution=0.05)) for s in (5, 6, 7)]
+    rows = power_warps(np.stack([b.points for b in bases]), x.times, ps)
+    for b, p, row in zip(bases, ps, rows):
+        assert np.array_equal(power_warp(b, p).points, row)
+    for bad in ([0.5], [np.nan], [2.0, 0.999]):
+        with pytest.raises(ValueError):
+            power_warps(x.points, x.times, bad)
+    for points, times in ((rows, x.times), (x.points, x.times[1:]), (x.points[:, 0], x.times)):
+        with pytest.raises(ValueError):
+            power_warps(points, times, [2.0, 3.0])
