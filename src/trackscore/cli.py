@@ -42,10 +42,11 @@ from .scoring import (
 from .signature import (
     CsvFormatError,
     read_paths_csv,
-    signature,
+    signature,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+    signatures,
     time_augment,
 )
-from .tensor_algebra import DimensionMismatchError, to_text
+from .tensor_algebra import DimensionMismatchError, to_text, unstack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,7 +158,7 @@ def _result_csv(quantity, side, depth, value, n_samples, seed, iterations, grad_
 
 
 def _emit_scalar(args, command, quantity, side, depth, value, n_samples,
-                 seed, iterations, grad_norm, params) -> None:
+                 seed, iterations, grad_norm, params, diagnostics=None) -> None:
     print(repr(float(value)))
     if args.out:
         out = Path(args.out)
@@ -165,17 +166,21 @@ def _emit_scalar(args, command, quantity, side, depth, value, n_samples,
             _result_csv(quantity, side, depth, value, n_samples, seed,
                         iterations, grad_norm)
         )
-        _write_manifest(out, _manifest(command, params))
+        manifest = _manifest(command, params)
+        if diagnostics:
+            manifest["diagnostics"] = diagnostics
+        _write_manifest(out, manifest)
 
 
 def cmd_sig(args) -> int:
     series = read_paths_csv(args.input)
+    paths = list(series.values())
+    if args.time_augment:
+        paths = [time_augment(p) for p in paths]
+    sigs = unstack(signatures(paths, args.depth), paths[0].dim)
     out = Path(args.out)
     written = {}
-    for sid, path in series.items():
-        if args.time_augment:
-            path = time_augment(path)
-        sig = signature(path, args.depth)
+    for sid, sig in zip(series, sigs):
         if len(series) == 1:
             target = out
         else:
@@ -269,6 +274,7 @@ def cmd_mi(args) -> int:
          "n_x": args.n_x, "depth": args.depth, "seed": args.seed,
          "resolution": args.resolution, "horizon": args.horizon,
          "side": args.side},
+        diagnostics={"conditional_se": est.conditional_se},
     )
     return EXIT_OK
 

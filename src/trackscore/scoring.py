@@ -22,6 +22,7 @@ reported as ``converged=False``.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -149,14 +150,18 @@ class MIEstimate:
     """Mutual information estimate between a track and a condition.
 
     ``entropy`` is the unconditional entropy estimate entering the
-    difference; diagnostics aggregate over all internal act solves
-    (largest gradient norm and condition number; ``iterations`` is
-    always 0, as for :class:`BayesAct`).
+    difference.  ``conditional_se`` is the standard error of the mean
+    conditional entropy, ``std(conditional_entropies, ddof=1) / sqrt(n_u)``;
+    it does not include the spread of the unconditional term.
+    Diagnostics aggregate over all internal act solves (largest gradient
+    norm and condition number; ``iterations`` is always 0, as for
+    :class:`BayesAct`).
     """
 
     mi: float
     entropy: float
     conditional_entropies: tuple[float, ...]
+    conditional_se: float
     n_u: int
     n_x: int
     seed: int
@@ -210,9 +215,12 @@ class _SliceProblem:
         return unstack(self.levels, self.width)
 
 
+@functools.lru_cache(maxsize=None)
 def _gram_index(width: int, depth: int, side: str):
     """Flat ``D x D`` positions ``(q, g)``: ``Q = E[A^T A]`` is the sum of
-    ``G[g]`` into ``Q[q]``, with ``G = sum_i w_i s_i s_i^T``.
+    ``G[g]`` into ``Q[q]``, with ``G = sum_i w_i s_i s_i^T``.  Built once
+    per ``(width, depth, side)``; the arrays are read-only, since every
+    caller shares them.
 
     On the right side ``(s * x)_W`` sums ``s_u x_v`` over the splits ``W =
     uv``; on the left ``(x * s)_W`` sums over ``W = vu``.  So each word W
@@ -234,7 +242,9 @@ def _gram_index(width: int, depth: int, side: str):
             for vk, uk in split:
                 q.append(vj * offs[-1] + vk)
                 g.append(uj * offs[-1] + uk)
-    return np.concatenate(q), np.concatenate(g)
+    q, g = np.concatenate(q), np.concatenate(g)
+    q.flags.writeable = g.flags.writeable = False
+    return q, g
 
 
 def _quad_forms(levels, weights: np.ndarray, side: str) -> np.ndarray:
@@ -266,6 +276,12 @@ def _expected_losses(levels, weights: np.ndarray, x: np.ndarray, side: str) -> n
 
 def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem:
     _check_side(side)
+    # signatures, plus the Gram matrix, the gathered form and its factor
+    dim = sum(mu.dim**m for m in range(depth + 1))
+    _check_memory(
+        8 * (len(mu) * dim + 3 * dim * dim),
+        f"an act over {len(mu)} paths of width {mu.dim} at depth {depth}",
+    )
     levels = signatures(mu.paths, depth)
     quad = _quad_forms([lev[None] for lev in levels], mu.weights[None], side)[0]
     return _SliceProblem(levels, mu.weights, quad, mu.dim, depth, side)
@@ -444,7 +460,10 @@ def linear_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, depth: int) ->
 
 
 def _draw_rng(seed, *stream):
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(stream)))
+    # the stream of np.random.default_rng(seed_sequence), without its
+    # argument dispatch
+    seq = np.random.SeedSequence((int(seed),) + tuple(stream))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _physical_memory() -> int | None:
@@ -454,20 +473,27 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _check_memory(need: int, what: str) -> None:
+    # Refuses ``what`` when its estimated ``need`` in bytes exceeds
+    # physical memory; callers check before they allocate.
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{what} needs an estimated {need:,} bytes, more than the "
+            f"{have:,} bytes of physical memory"
+        )
+
+
 def _check_size(n_u: int, n_x: int, points: int, width: int, depth: int) -> None:
     """Refuses an estimate whose draws, signatures, Gram matrices and
     forms would not fit in physical memory, before they are allocated.
     ``points`` is the number of breakpoints per track."""
     draws = n_x * (n_u + 1)
     dim = sum(width**m for m in range(depth + 1))
-    need = 8 * (draws * (points * width + dim) + 2 * (n_u + 1) * dim * dim)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            f"mutual information with n_u={n_u}, n_x={n_x} and depth {depth} "
-            f"needs an estimated {need:,} bytes, more than the {have:,} bytes "
-            "of physical memory"
-        )
+    _check_memory(
+        8 * (draws * (points * width + dim) + 2 * (n_u + 1) * dim * dim),
+        f"mutual information with n_u={n_u}, n_x={n_x} and depth {depth}",
+    )
 
 
 def mutual_information(
@@ -524,6 +550,7 @@ def mutual_information(
         mi=float(h[0]) - float(np.mean(cond_entropies)),
         entropy=float(h[0]),
         conditional_entropies=cond_entropies,
+        conditional_se=float(np.std(h[1:], ddof=1) / np.sqrt(n_u)),
         n_u=n_u,
         n_x=n_x,
         seed=seed,

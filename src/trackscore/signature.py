@@ -7,11 +7,14 @@ identity).  :func:`signatures` evaluates it for many paths at once.
 Each path is cut into fixed-length chunks, and every chunk is signed by
 the fused multiply-exponentiate fold ``S <- S (x) exp(delta)`` in Horner
 form, vectorised over all (path, chunk) rows, so no segment exponential
-is ever formed.  The chunk products are then folded left to right, so
-the cost is linear in the number of segments and the Python-level steps
-grow only with the chunk length and the number of chunks.  The signature
-depends only on the traced-out track: reparametrization, refinement of
-breakpoints and translation all leave it unchanged.
+is ever formed.  The rows sit on the last axis of every array in the
+fold, so each numpy call runs its inner loop over all rows; the result
+is bit-identical to the same fold with one row per leading index.  The
+chunk products are then folded left to right, so the cost is linear in
+the number of segments and the Python-level steps grow only with the
+chunk length and the number of chunks.  The signature depends only on
+the traced-out track: reparametrization, refinement of breakpoints and
+translation all leave it unchanged.
 """
 
 from __future__ import annotations
@@ -161,29 +164,40 @@ def _sign_block(points: list[np.ndarray], depth: int) -> list[np.ndarray]:
     if n == 0 or depth == 0:
         return _units(batch, d, depth)
     chunk, n_chunks = _chunking(n)
-    # Zero increments pad the last chunk; folding one in adds exact
-    # zeros, which leaves every coefficient unchanged.  Each path's
-    # increments are written in place from its own points; one subtract
-    # over stacked points would copy both of its operands first.
-    increments = np.zeros((batch, n_chunks * chunk, d))
-    for inc, pts in zip(increments, points):
-        np.subtract(pts[1:], pts[:-1], out=inc[:n])
-    rows = increments.reshape(batch * n_chunks, chunk, d)
-    acc = _units(rows.shape[0], d, depth)
+    rows = batch * n_chunks
+    # The (path, chunk) rows are the last axis, so every numpy call below
+    # loops over all rows in its inner loop rather than over the d
+    # coordinates.  Zero increments pad the last chunk; folding one in
+    # adds exact zeros, which leaves every coefficient unchanged.  Each
+    # path's increments are written in place from its own points; one
+    # subtract over stacked points would copy both of its operands first.
+    increments = np.zeros((chunk, d, batch, n_chunks))
+    full, rest = divmod(n, chunk)
+    for inc, pts in zip(increments.transpose(2, 3, 0, 1), points):
+        head = pts[: full * chunk + 1]
+        np.subtract(
+            head[1:].reshape(full, chunk, d), head[:-1].reshape(full, chunk, d), out=inc[:full]
+        )
+        if rest:
+            np.subtract(pts[full * chunk + 1 :], pts[full * chunk : -1], out=inc[full, :rest])
+    increments = increments.reshape(chunk, d, rows)
+    acc = [np.zeros((d**m, rows)) for m in range(depth + 1)]
+    acc[0][:] = 1.0
     divisors = np.arange(1.0, depth + 1)[:, None, None]
     for t in range(chunk):
-        scaled = rows[None, :, t] / divisors  # delta / j for j = 1..depth
+        scaled = increments[None, t] / divisors  # delta / j for j = 1..depth
         # Degree m of S (x) exp(delta), from the top degree down so that
         # the lower degrees it reads are still those of S:
         # ((delta/m + S_1) delta/(m-1) + ... + S_{m-1}) delta/1 + S_m
         for m in range(depth, 0, -1):
             horner = scaled[m - 1]
             for k in range(1, m):
-                horner = (horner + acc[k])[:, :, None] * scaled[m - k - 1][:, None, :]
-                horner = horner.reshape(rows.shape[0], -1)
+                horner = (horner + acc[k])[:, None] * scaled[m - k - 1][None, :]
+                horner = horner.reshape(-1, rows)
             acc[m] += horner
-    prods = [lev.reshape(batch, n_chunks, -1) for lev in acc]
-    acc = [p[:, 0] for p in prods]
+    # back to (batch, d**m) levels, C-ordered for the callers' products
+    prods = [lev.T.reshape(batch, n_chunks, -1) for lev in acc]
+    acc = [np.ascontiguousarray(p[:, 0]) for p in prods]
     for c in range(1, n_chunks):
         acc = mul_levels(acc, [p[:, c] for p in prods])
     return acc

@@ -73,13 +73,17 @@ def _rng(seed) -> np.random.Generator:
 
 def _brownian_points(rngs, cfg: SimConfig) -> np.ndarray:
     # (len(rngs), T + 1, d) Brownian points from the origin; each
-    # generator draws its increments as one normal block
+    # generator draws its increments as one normal block into its row,
+    # and one cumulative sum over all rows adds them up in the order a
+    # per-row sum would
     rngs = list(rngs)
     n = cfg.times.shape[0] - 1
     sd = math.sqrt(cfg.resolution)
     points = np.zeros((len(rngs), n + 1, cfg.dim))
-    for rng, row in zip(rngs, points):
-        np.cumsum(rng.normal(0.0, sd, size=(n, cfg.dim)), axis=0, out=row[1:])
+    steps = points[:, 1:]
+    for rng, row in zip(rngs, steps):
+        row[:] = rng.normal(0.0, sd, size=(n, cfg.dim))
+    np.cumsum(steps, axis=1, out=steps)
     return points
 
 

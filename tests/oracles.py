@@ -7,6 +7,11 @@ the running degree-(k-1) integral by trapezoidal accumulation; on a
 piecewise linear path the degree-1 integrand is exact and higher
 degrees converge at second order in the subdivision width.
 
+The row-major fold is the signature kernel's earlier layout, one
+(path, chunk) row per leading index and the tensor coordinates on the
+last axis.  It performs the same floating-point operations in the same
+order as ``signature._sign_block``, so the two must agree bit for bit.
+
 The soft-DTW oracle is the textbook row-by-row recursion in Python
 floats, one cell at a time, with its own cost matrix.
 """
@@ -17,7 +22,8 @@ import math
 
 import numpy as np
 
-from trackscore.tensor_algebra import TruncatedTensor
+from trackscore.signature import CHUNK_SEGMENTS
+from trackscore.tensor_algebra import TruncatedTensor, mul_levels
 
 
 def refine_polyline(points: np.ndarray, subdivisions: int) -> np.ndarray:
@@ -47,6 +53,38 @@ def iterated_integrals(points, depth: int, subdivisions: int = 200) -> Truncated
         running = np.vstack([np.zeros((1, contrib.shape[1])), np.cumsum(contrib, axis=0)])
         levels.append(running[-1].copy())
     return TruncatedTensor(d, depth, tuple(levels))
+
+
+def sign_rows_fold(points, depth: int) -> list[np.ndarray]:
+    """Signature levels ``(batch, d**m)`` of equal-shape ``(n + 1, d)``
+    polylines, by the Horner fold ``S <- S (x) exp(delta)`` over chunks of
+    ``CHUNK_SEGMENTS`` segments with rows first, then a left fold of the
+    chunk products."""
+    batch, n, d = len(points), points[0].shape[0] - 1, points[0].shape[1]
+    chunk = max(1, min(n, CHUNK_SEGMENTS))
+    n_chunks = max(1, -(-n // chunk))
+    increments = np.zeros((batch, n_chunks * chunk, d))
+    for inc, pts in zip(increments, points):
+        inc[:n] = np.diff(pts, axis=0)
+    rows = increments.reshape(batch * n_chunks, chunk, d)
+    acc = [np.zeros((rows.shape[0], d**m)) for m in range(depth + 1)]
+    acc[0][:] = 1.0
+    if n == 0 or depth == 0:
+        return [lev[:batch] for lev in acc]
+    divisors = np.arange(1.0, depth + 1)[:, None, None]
+    for t in range(chunk):
+        scaled = rows[None, :, t] / divisors
+        for m in range(depth, 0, -1):
+            horner = scaled[m - 1]
+            for k in range(1, m):
+                horner = (horner + acc[k])[:, :, None] * scaled[m - k - 1][:, None, :]
+                horner = horner.reshape(rows.shape[0], -1)
+            acc[m] += horner
+    prods = [lev.reshape(batch, n_chunks, -1) for lev in acc]
+    acc = [p[:, 0] for p in prods]
+    for c in range(1, n_chunks):
+        acc = mul_levels(acc, [p[:, c] for p in prods])
+    return acc
 
 
 def soft_dtw_loop(x, y, gamma: float) -> float:

@@ -7,7 +7,14 @@ import pytest
 
 from trackscore.cli import main
 from trackscore.scoring import EmpiricalMeasure, bayes_act, left_loss, right_loss
-from trackscore.signature import make_path, read_paths_csv, write_paths_csv
+from trackscore.signature import (
+    make_path,
+    read_paths_csv,
+    signature,
+    time_augment,
+    write_paths_csv,
+)
+from trackscore.tensor_algebra import to_text
 
 STAIRCASE = (
     "series_id,t,x1,x2\n"
@@ -71,6 +78,29 @@ def test_sig_time_augment_changes_width(tmp_path, staircase_csv):
     assert main(["sig", "--input", str(staircase_csv), "--depth", "2",
                  "--time-augment", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "3,2"
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_sig_batch_files_equal_per_series_signatures(tmp_path, augment):
+    # one batched signing of mixed-length series, file by file against
+    # signing each series alone
+    rng = np.random.default_rng(12)
+    series = {
+        f"p{i}": make_path(np.cumsum(rng.normal(0.0, 0.3, (n + 1, 2)), axis=0),
+                           np.arange(n + 1) * 0.5)
+        for i, n in enumerate((5, 140, 5, 0, 300))
+    }
+    src = tmp_path / "many.csv"
+    write_paths_csv(series, src)
+    out = tmp_path / "sig.txt"
+    flags = ["--time-augment"] if augment else []
+    assert main(["sig", "--input", str(src), "--depth", "4", *flags,
+                 "--out", str(out)]) == 0
+    for sid, path in read_paths_csv(src).items():
+        if augment:
+            path = time_augment(path)
+        expected = to_text(signature(path, 4))
+        assert (tmp_path / f"sig-{sid}.txt").read_text() == expected
 
 
 def test_missing_input_is_data_error(tmp_path, capsys):
@@ -193,6 +223,9 @@ def test_mi_smoke(tmp_path, capsys):
     assert row[0] == "mutual_information"
     assert float(row[3]) == float(printed)
     assert row[5] == "1"  # seed column recorded
+    # the spread of the conditional term goes to the manifest only
+    manifest = json.loads((tmp_path / "mi.csv.manifest.json").read_text())
+    assert manifest["diagnostics"]["conditional_se"] > 0
 
 
 def test_experiment_warp_smoke(tmp_path, capsys):
@@ -285,3 +318,18 @@ def test_mi_too_large_for_memory_is_data_error(capsys):
     assert main(["mi", "--model", "spiral", "--rho", "0.5",
                  "--n-u", str(n), "--n-x", str(n)]) == 2
     assert f"needs an estimated {need:,} bytes" in capsys.readouterr().err
+
+
+def test_act_too_large_for_memory_is_data_error(tmp_path, pair_csv, monkeypatch, capsys):
+    # refused by arithmetic before anything is signed: 2 paths of width 2
+    # at depth 8, so D = 511
+    from trackscore import scoring
+
+    need = 8 * (2 * 511 + 3 * 511 * 511)
+    monkeypatch.setattr(scoring, "_physical_memory", lambda: need - 1)
+    for argv in (["entropy", "--input", str(pair_csv)],
+                 ["divergence", "--a", str(pair_csv), "--b", str(pair_csv)]):
+        assert main([*argv, "--depth", "8"]) == 2
+        assert f"needs an estimated {need:,} bytes" in capsys.readouterr().err
+    monkeypatch.setattr(scoring, "_physical_memory", lambda: need)
+    assert main(["entropy", "--input", str(pair_csv), "--depth", "8"]) == 0

@@ -445,6 +445,48 @@ def test_mutual_information_size_guard(monkeypatch):
     assert mutual_information(_ShiftModel(0.5), 2, 2, RIGHT, 2).converged
 
 
+@pytest.mark.parametrize("side, se", [(LEFT, 3.40), (RIGHT, 1.63)])
+def test_mutual_information_conditional_standard_error(side, se):
+    # the spread of the conditional term, on a point whose estimate
+    # (mi = -8.90 on the left) is far from the truth
+    from trackscore.experiments import mi_point
+
+    est = mi_point("warped-mix", 0.5, 20, 50, 4, 3, resolution=0.05, horizon=2, side=side)
+    h = np.array(est.conditional_entropies)
+    assert est.conditional_se == np.std(h, ddof=1) / np.sqrt(20)
+    assert est.conditional_se == pytest.approx(se, abs=0.005)
+
+
+def test_act_size_guard_refuses_before_signing(monkeypatch):
+    # 3 paths of width 2 at depth 8: D = 511
+    from trackscore import scoring
+
+    def unsigned(*args):
+        raise AssertionError("signed past the guard")
+
+    mu = random_measure(np.random.default_rng(13), 3)
+    need = 8 * (3 * 511 + 3 * 511 * 511)
+    monkeypatch.setattr(scoring, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(scoring, "signatures", unsigned)
+        for call in (lambda: bayes_act(mu, RIGHT, 8), lambda: divergence(mu, mu, LEFT, 8)):
+            with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
+                call()
+    monkeypatch.setattr(scoring, "_physical_memory", lambda: need)
+    assert bayes_act(mu, RIGHT, 8).converged
+
+
+def test_draw_streams_and_shared_gram_index():
+    from trackscore.scoring import _draw_rng, _gram_index
+
+    for key in ((0, 1, 0), (7, 2, 3, 4)):
+        ref = np.random.default_rng(np.random.SeedSequence(key))
+        assert np.array_equal(_draw_rng(*key).normal(size=50), ref.normal(size=50))
+    q, g = _gram_index(2, 3, RIGHT)
+    assert _gram_index(2, 3, RIGHT)[0] is q
+    assert not q.flags.writeable and not g.flags.writeable
+
+
 def test_mutual_information_rejects_non_finite_tracks():
     class Overflowing(_ShiftModel):
         def sample_paths(self, rngs, conditions):

@@ -34,7 +34,7 @@ from trackscore.tensor_algebra import (
     unstack,
 )
 
-from oracles import iterated_integrals
+from oracles import iterated_integrals, sign_rows_fold
 
 
 def random_path(rng, n_segments, dim=2, scale=1.0):
@@ -266,6 +266,22 @@ def test_signature_bit_identical_alone_and_in_any_batch():
     for s, x in zip(unstack(signatures(mixed, 3), 2), mixed):
         for a, b in zip(s.levels, signature(x, 3).levels):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3, 4, 6])
+def test_rows_last_kernel_equals_row_major_fold(dim, depth):
+    from trackscore.signature import _sign_block
+
+    rng = np.random.default_rng(11)
+    for batch in (1, 7, 275):
+        for n_segments in (0, 1, CHUNK_SEGMENTS - 1, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 300):
+            paths = [random_path(rng, n_segments, dim=dim, scale=0.3) for _ in range(batch)]
+            ref = sign_rows_fold([p.points for p in paths], depth)
+            for got in (_sign_block([p.points for p in paths], depth), signatures(paths, depth)):
+                assert len(got) == depth + 1
+                for a, b in zip(got, ref):
+                    assert a.shape == b.shape and np.array_equal(a, b), (batch, n_segments)
 
 
 def test_kernel_chunking_and_working_set():

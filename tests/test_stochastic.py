@@ -41,6 +41,19 @@ def test_brownian_grid_and_determinism():
     assert not np.array_equal(x.points, z.points)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_brownian_points_rows_equal_per_row_cumsum(dim):
+    from trackscore.stochastic import _brownian_points
+
+    cfg = SimConfig(horizon=2.0, resolution=0.05, dim=dim)
+    rows = _brownian_points([_stream(i) for i in range(9)], cfg)
+    assert rows.shape == (9, 41, dim)
+    for i, row in enumerate(rows):
+        steps = _stream(i).normal(0.0, math.sqrt(cfg.resolution), size=(40, dim))
+        assert np.array_equal(row[0], np.zeros(dim))
+        assert np.array_equal(row[1:], np.cumsum(steps, axis=0))
+
+
 def test_brownian_increment_moments():
     cfg = SimConfig(seed=0, horizon=100.0, resolution=0.5, dim=2)
     x = brownian(cfg)
