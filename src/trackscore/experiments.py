@@ -66,10 +66,6 @@ def sdtw_columns(gammas) -> list[str]:
     return names
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def run_warp_experiment(
     p_max: float = 25.0,
     gammas=DEFAULT_GAMMAS,
@@ -172,10 +168,13 @@ def run_mi_experiment(
 
 
 def format_csv(header, rows) -> str:
-    """Deterministic CSV serialization (repr floats, unix newlines)."""
+    """Deterministic CSV serialization, unix newlines: floats (numpy's
+    too) as the repr of the Python float, ``None`` as an empty cell,
+    anything else by ``str``."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(str(c) if isinstance(c, (int, np.integer)) else _fmt(c) for c in row)
-        )
+        lines.append(",".join(
+            repr(float(c)) if isinstance(c, (float, np.floating)) else "" if c is None else str(c)
+            for c in row
+        ))
     return "\n".join(lines) + "\n"

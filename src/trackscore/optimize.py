@@ -40,7 +40,6 @@ __all__ = [
     "pansu_descent",
     "taylor_check",
     "geometric_convexity_report",
-    "write_trace_csv",
 ]
 
 # Objective increases tolerated before the affine step is halved.
@@ -54,8 +53,9 @@ _STEP_UNDERFLOW = 1e-20
 class DescentConfig:
     """Shared optimizer settings.
 
-    ``step=None`` lets the caller derive a problem-specific default
-    (solvers raise if none is available).
+    ``step`` is the initial step size.  ``affine_descent`` needs one and
+    raises without it; ``pansu_descent`` starts from 1.0 when it is
+    ``None``.
     """
 
     step: float | None = None
@@ -92,14 +92,7 @@ class DescentResult:
     trace: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _resolve_step(cfg: DescentConfig, default_step: float | None) -> float:
-    step = cfg.step if cfg.step is not None else default_step
-    if step is None:
-        raise ValueError("no step size: set cfg.step or pass default_step")
-    return float(step)
-
-
-def affine_descent(value, grad, start, cfg=None, default_step=None) -> DescentResult:
+def affine_descent(value, grad, start, cfg=None) -> DescentResult:
     """Gradient descent over tensors with scalar part pinned to one.
 
     ``value`` and ``grad`` evaluate the objective and its gradient; the
@@ -111,7 +104,9 @@ def affine_descent(value, grad, start, cfg=None, default_step=None) -> DescentRe
     cfg = cfg or DescentConfig()
     if not is_unital(start):
         raise ValueError("start must have scalar part 1")
-    step0 = step = _resolve_step(cfg, default_step)
+    if cfg.step is None:
+        raise ValueError("no step size: set cfg.step")
+    step0 = step = float(cfg.step)
     u = start
     obj = float(value(u))
     best_u, best_obj = u, obj
@@ -191,7 +186,7 @@ def pansu_gradient(f, g: TruncatedTensor, grad_h=None, fd_step=1e-5) -> np.ndarr
     return out
 
 
-def pansu_descent(f, start, cfg=None, grad_h=None, default_step=1.0) -> DescentResult:
+def pansu_descent(f, start, cfg=None, grad_h=None) -> DescentResult:
     """Descent over group-like tensors via right-multiplied exponentials.
 
     The update is ``g <- g * exp(-step * Df(g))`` with Df the degree-one
@@ -202,7 +197,7 @@ def pansu_descent(f, start, cfg=None, grad_h=None, default_step=1.0) -> DescentR
     cfg = cfg or DescentConfig()
     if not is_grouplike(start):
         raise ValueError("start must be group-like")
-    step0 = step = _resolve_step(cfg, default_step)
+    step0 = step = 1.0 if cfg.step is None else float(cfg.step)
     g = start
     obj = float(f(g))
     trace: list[tuple[int, float, float, float]] = []
@@ -322,16 +317,3 @@ def geometric_convexity_report(f, pairs, lambdas) -> list[dict]:
                     {"pair": idx, "lam": lam, "lhs": lhs, "rhs": rhs}
                 )
     return violations
-
-
-def write_trace_csv(trace, dest) -> None:
-    """Writes descent trace rows as ``iter,objective,grad_norm,step``."""
-    lines = ["iter,objective,grad_norm,step"]
-    for it, obj, gn, step in trace:
-        lines.append(f"{it},{float(obj)!r},{float(gn)!r},{float(step)!r}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as f:
-            f.write(text)

@@ -151,18 +151,11 @@ def _chunking(n_segments: int) -> tuple[int, int]:
     return chunk, max(1, -(-n_segments // chunk))
 
 
-def _units(rows: int, d: int, depth: int) -> list[np.ndarray]:
-    levels = [np.zeros((rows, d**m)) for m in range(depth + 1)]
-    levels[0][:] = 1.0
-    return levels
-
-
 def _sign_block(points: list[np.ndarray], depth: int) -> list[np.ndarray]:
     """Signature levels of polylines given as equal-shape ``(n + 1, d)``
-    point arrays."""
+    point arrays.  ``n = 0`` folds one chunk of zero padding and depth 0
+    folds no degree, so both return exact units."""
     batch, n, d = len(points), points[0].shape[0] - 1, points[0].shape[1]
-    if n == 0 or depth == 0:
-        return _units(batch, d, depth)
     chunk, n_chunks = _chunking(n)
     rows = batch * n_chunks
     # The (path, chunk) rows are the last axis, so every numpy call below

@@ -40,7 +40,6 @@ __all__ = [
     "antipode",
     "exp_of_vector",
     "exp_levels",
-    "degree_one",
     "dilate",
     "inner",
     "norm",
@@ -266,15 +265,6 @@ def exp_of_vector(v, depth: int) -> TruncatedTensor:
     ``v^(x)m / m!``."""
     v = np.asarray(v, dtype=float).reshape(-1)
     return TruncatedTensor(v.shape[0], depth, tuple(exp_levels(v, depth)))
-
-
-def degree_one(v, depth: int) -> TruncatedTensor:
-    """Injects a vector at degree one: (0, v, 0, ...)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    t = zero(v.shape[0], depth)
-    if depth >= 1:
-        t.levels[1][:] = v
-    return t
 
 
 def dilate(lam: float, t: TruncatedTensor) -> TruncatedTensor:

@@ -61,6 +61,52 @@ def test_sig_writes_frozen_record(tmp_path, staircase_csv, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def _manifest_cases(pair, staircase, out):
+    # (argv, parameters the manifest records): every parsed option but
+    # --out, defaults included
+    small_mi = ["--n-u", "2", "--n-x", "3", "--depth", "2", "--resolution", "0.25"]
+    sweep = {"rhos": [0.0, 1.0], "n_u": 2, "n_x": 3, "depth": 2, "seed": 0,
+             "resolution": 0.25}
+    cases = [
+        (["sig", "--input", pair, "--depth", "2", "--out", out],
+         {"input": pair, "depth": 2, "time_augment": False,
+          "files": {"s": "res-s.csv", "r": "res-r.csv"}}),
+        (["divergence", "--a", pair, "--b", staircase, "--out", out],
+         {"a": pair, "b": staircase, "side": "right", "depth": 4}),
+        (["entropy", "--input", pair, "--side", "left", "--depth", "2", "--out", out],
+         {"input": pair, "side": "left", "depth": 2}),
+        (["score", "--x", staircase, "--measure", pair, "--out", out],
+         {"x": staircase, "measure": pair, "side": "right", "depth": 4}),
+        (["mi", "--model", "spiral", "--rho", "0.5", *small_mi, "--seed", "7", "--out", out],
+         {"model": "spiral", "rho": 0.5, "n_u": 2, "n_x": 3, "depth": 2, "seed": 7,
+          "resolution": 0.25, "horizon": 1.0, "side": "right"}),
+        (["experiment-warp", "--p-max", "4", "--p-points", "3", "--gammas", "1.0,0.1",
+          "--depth", "2", "--resolution", "0.1", "--out", out],
+         {"p_max": 4.0, "gammas": [1.0, 0.1], "depth": 2, "resolution": 0.1, "seed": 0,
+          "p_points": 3}),
+        (["experiment-mi-scalar", "--rhos", "0.0,1.0", *small_mi, "--out", out], sweep),
+        (["experiment-mi-warp", "--rhos", "0.0,1.0", *small_mi, "--out", out], sweep),
+    ]
+    return {argv[0]: (argv, parameters) for argv, parameters in cases}
+
+
+@pytest.mark.parametrize("command", [
+    "sig", "divergence", "entropy", "score", "mi",
+    "experiment-warp", "experiment-mi-scalar", "experiment-mi-warp",
+])
+def test_manifest_parameters_are_the_parsed_options(tmp_path, pair_csv, staircase_csv,
+                                                    command, capsys):
+    out = tmp_path / "res.csv"
+    argv, parameters = _manifest_cases(str(pair_csv), str(staircase_csv), str(out))[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["parameters"] == parameters
+    extra = {"diagnostics"} if command == "mi" else set()
+    assert set(manifest) == {"command", "parameters", "artifact_version", "timestamp", *extra}
+
+
 def test_sig_multiple_series_get_suffixed_files(tmp_path, pair_csv):
     out = tmp_path / "sig.txt"
     assert main(["sig", "--input", str(pair_csv), "--depth", "2",
@@ -139,6 +185,13 @@ def test_usage_errors_exit_one(capsys):
     ):
         assert main(argv) == 1, argv
     capsys.readouterr()
+
+
+def test_unparsable_tokens_keep_argparse_wording(capsys):
+    assert main(["entropy", "--input", "x.csv", "--depth", "x"]) == 1
+    assert "argument --depth: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["mi", "--model", "spiral", "--rho", "x"]) == 1
+    assert "argument --rho: invalid float value: 'x'" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -81,6 +81,15 @@ def test_format_csv_is_deterministic_text():
     assert text == "a,b\n1.0,2\n0.1,-3\n"
 
 
+def test_format_csv_cell_types():
+    # floats of either kind by repr, integers of either kind by str,
+    # None as an empty cell, text as is
+    row = ["left", None, 3, np.int64(-4), 2.0, np.float64(1.0) / 3, 1e-300]
+    assert format_csv(list("abcdefg"), [row]) == (
+        "a,b,c,d,e,f,g\nleft,,3,-4,2.0,0.3333333333333333,1e-300\n"
+    )
+
+
 def test_warp_geometric_column_matches_per_row_signing():
     # batched signing of the warps against signing each pair per row
     from trackscore.scoring import point_divergence

@@ -1,7 +1,5 @@
 """Descent routines, degree-one gradients and expansion diagnostics."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from trackscore.optimize import (
     pansu_descent,
     pansu_gradient,
     taylor_check,
-    write_trace_csv,
 )
 from trackscore.tensor_algebra import (
     drop_scalar,
@@ -59,11 +56,6 @@ def test_affine_descent_trace_and_csv():
     assert len(res.trace) >= 2
     objs = [row[1] for row in res.trace]
     assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
-    buf = io.StringIO()
-    write_trace_csv(res.trace, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "iter,objective,grad_norm,step"
-    assert len(lines) == len(res.trace) + 1
 
 
 def test_affine_descent_halves_on_divergence():

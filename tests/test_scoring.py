@@ -1,5 +1,7 @@
 """Bayes acts, losses, entropies, divergences and the MI estimator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -342,8 +344,8 @@ def test_closed_form_matches_descent_and_inverse_form():
             # the 5% margin keeps every mode strictly contractive
             lam_max = float(np.linalg.eigvalsh(quad)[-1])
             descent = affine_descent(
-                *_slice_objective(prob), unit(2, 3), CFG,
-                default_step=1.0 / (1.05 * lam_max),
+                *_slice_objective(prob), unit(2, 3),
+                dataclasses.replace(CFG, step=1.0 / (1.05 * lam_max)),
             )
             assert direct.converged and descent.converged
             assert direct.iterations == 0 and direct.grad_norm <= 1e-10
