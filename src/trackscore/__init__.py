@@ -9,7 +9,7 @@ parametrized in time.
 
 __version__ = "0.1.0"
 
-from .baselines import CostMatrix, cost_matrix, dtw, soft_dtw
+from .baselines import CostMatrix, cost_matrix, dtw, dtws, soft_dtw, soft_dtws
 from .optimize import (
     DescentConfig,
     DescentResult,
@@ -29,6 +29,7 @@ from .scoring import (
     MIEstimate,
     bayes_act,
     divergence,
+    divergence_with_acts,
     entropy,
     expected_signature,
     left_loss,
@@ -38,6 +39,7 @@ from .scoring import (
     point_divergence,
     right_loss,
     score,
+    score_with_act,
 )
 from .signature import (
     CsvFormatError,
@@ -49,6 +51,7 @@ from .signature import (
     read_paths_csv,
     reverse,
     signature,
+    signatures,
     time_augment,
     translate,
     write_paths_csv,
@@ -59,6 +62,7 @@ from .stochastic import (
     WarpedMixModel,
     brownian,
     power_warp,
+    power_warps,
     sample_omega,
     spiral_process,
     warped_mix_process,
@@ -73,6 +77,7 @@ from .tensor_algebra import (
     from_text,
     inner,
     inverse,
+    inverse_levels,
     is_grouplike,
     is_unital,
     mul,

@@ -6,10 +6,11 @@ Euclidean ground cost and no band constraint.  Inputs are paths or plain
 (n, d) arrays of finite points; time grids are ignored, only the visited
 points matter.
 
-Soft DTW is batched: :func:`soft_dtws` runs the recursion for many
-(x, y, gamma) rows at once, one anti-diagonal of the DP table per numpy
-step, and :func:`soft_dtw` is its one-row case.  :func:`dtw` stays a
-scalar loop over the full cost matrix.
+Both recursions are batched: :func:`soft_dtws` and :func:`dtws` run
+many (x, y) rows at once, one anti-diagonal of the DP table per numpy
+step.  :func:`soft_dtw` is the one-row case of :func:`soft_dtws`;
+:func:`dtw` is a scalar loop over the full cost matrix, and
+:func:`dtws` is its batched twin, equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostMatrix", "cost_matrix", "dtw", "soft_dtw", "soft_dtws"]
+__all__ = ["CostMatrix", "cost_matrix", "dtw", "dtws", "soft_dtw", "soft_dtws"]
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,13 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 def cost_matrix(x, y) -> CostMatrix:
     a, b = _as_points(x), _as_points(y)
     _check_dims(a, b)
-    diff = a[:, None, :] - b[None, :, :]
-    return CostMatrix(a.shape[0], b.shape[0], np.einsum("ijk,ijk->ij", diff, diff))
+    # coordinates summed one at a time, in the order the wavefront
+    # kernel sums them, so that dtw and dtws agree bit for bit
+    with np.errstate(over="ignore"):
+        entries = np.square(a[:, None, 0] - b[None, :, 0])
+        for k in range(1, a.shape[1]):
+            entries += np.square(a[:, None, k] - b[None, :, k])
+    return CostMatrix(a.shape[0], b.shape[0], entries)
 
 
 def dtw(x, y) -> float:
@@ -82,6 +88,16 @@ def dtw(x, y) -> float:
     return prev[c.cols]
 
 
+def dtws(xs, ys) -> np.ndarray:
+    """:func:`dtw` of each row ``(xs[k], ys[k])``, bit for bit.
+
+    The hard mode of the :func:`soft_dtws` wavefront: each cell is
+    ``cost + min(up, left, diag)``, so a cost that overflows gives inf
+    as it does in :func:`dtw`.
+    """
+    return _batched(xs, ys, None)
+
+
 def soft_dtw(x, y, gamma: float) -> float:
     """Soft-min relaxation of :func:`dtw` at temperature gamma.
 
@@ -101,31 +117,38 @@ def soft_dtws(xs, ys, gammas) -> np.ndarray:
     set is ``O(rows * (n + m) * d)``.  A row gives the same bits alone
     as in any batch.
     """
-    xs, ys = [_as_points(x) for x in xs], [_as_points(y) for y in ys]
     gammas = np.asarray(gammas, dtype=float)
     if not len(xs) == len(ys) == gammas.size or gammas.ndim != 1:
         raise ValueError("need one gamma per (x, y) pair")
     if not (np.isfinite(gammas) & (gammas > 0)).all():
         raise ValueError("gamma must be finite and positive")
+    return _batched(xs, ys, gammas)
+
+
+def _batched(xs, ys, gammas: np.ndarray | None) -> np.ndarray:
+    # rows with one (n, m, d) share a wavefront; gammas None is hard DTW
+    xs, ys = [_as_points(x) for x in xs], [_as_points(y) for y in ys]
+    if len(xs) != len(ys):
+        raise ValueError("need one y per x")
     groups: dict[tuple[int, int, int], list[int]] = {}
     for k, (a, b) in enumerate(zip(xs, ys)):
         _check_dims(a, b)
         groups.setdefault((*a.shape, b.shape[0]), []).append(k)
-    out = np.empty(gammas.size)
+    out = np.empty(len(xs))
     for idx in groups.values():
         out[idx] = _wavefront(
             np.stack([xs[k].T for k in idx], axis=1),
             np.stack([ys[k][::-1].T for k in idx], axis=1),
-            gammas[idx, None],
+            None if gammas is None else gammas[idx, None],
         )
     return out
 
 
-def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
     """Soft DTW of ``x`` against the reversed sequences ``y_rev`` at
-    temperatures ``gamma`` ``(r, 1)``; points are stacked coordinate
-    first, ``(d, r, n)`` and ``(d, r, m)``, so a diagonal's costs are
-    sums of ``(r, L)`` slices.
+    temperatures ``gamma`` ``(r, 1)``, or hard DTW when ``gamma`` is
+    None; points are stacked coordinate first, ``(d, r, n)`` and
+    ``(d, r, m)``, so a diagonal's costs are sums of ``(r, L)`` slices.
 
     Entry ``i`` of the diagonal ``s`` holds ``R[i, s - i]``; cells off
     the table, and its zero row and column past ``R[0, 0]``, are inf.
@@ -146,15 +169,17 @@ def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarra
                 cost += np.square(xk[:, xi] - yk[:, yj])
             up, left, diag = prev1[:, lo - 1:hi], prev1[:, lo:hi + 1], prev2[:, lo - 1:hi]
             low = np.minimum(np.minimum(up, left), diag)
-            # costs that overflowed leave all three predecessors inf; the
-            # clamp keeps inf - inf out, so such a cell comes out inf
-            np.minimum(low, np.finfo(float).max, out=low)
-            total = (
-                np.exp((low - up) / gamma)
-                + np.exp((low - left) / gamma)
-                + np.exp((low - diag) / gamma)
-            )
+            if gamma is not None:
+                # costs that overflowed leave all three predecessors inf;
+                # the clamp keeps inf - inf out, so such a cell comes out inf
+                np.minimum(low, np.finfo(float).max, out=low)
+                total = (
+                    np.exp((low - up) / gamma)
+                    + np.exp((low - left) / gamma)
+                    + np.exp((low - diag) / gamma)
+                )
+                low = low - gamma * np.log(total)
             cur = np.full((r, n + 1), inf)
-            cur[:, lo:hi + 1] = cost + (low - gamma * np.log(total))
+            cur[:, lo:hi + 1] = cost + low
             prev2, prev1 = prev1, cur
     return prev1[:, n]

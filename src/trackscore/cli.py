@@ -146,10 +146,10 @@ RESULT_HEADER = "quantity,side,depth,value,n_samples,seed,iterations,grad_norm".
 
 
 def _emit_scalar(args, quantity, value, n_samples, *results, seed=None, diagnostics=None) -> int:
-    """Prints ``value`` and, with ``--out``, writes its result row.
-    ``results`` are the converged acts or estimates behind ``value``."""
+    """With ``--out``, writes ``value``'s result row, then prints
+    ``value``, so a failed write prints nothing.  ``results`` are the
+    converged acts or estimates behind ``value``."""
     _require_converged(*results)
-    print(repr(float(value)))
     if args.out:
         out = Path(args.out)
         row = [
@@ -158,6 +158,7 @@ def _emit_scalar(args, quantity, value, n_samples, *results, seed=None, diagnost
         ]
         out.write_text(format_csv(RESULT_HEADER, [row]))
         _write_manifest(out, args, diagnostics and {"diagnostics": diagnostics})
+    print(repr(float(value)))
     return EXIT_OK
 
 

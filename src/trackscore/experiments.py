@@ -13,8 +13,10 @@ import math
 
 import numpy as np
 
-from .baselines import dtw, soft_dtw, soft_dtws
-from .scoring import RIGHT, MIEstimate, mutual_information, point_divergence
+from .baselines import dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+from .baselines import dtws, soft_dtw, soft_dtws
+from .scoring import point_divergence  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+from .scoring import RIGHT, MIEstimate, loss_L, mutual_information
 from .signature import make_path, signatures
 from .stochastic import (
     SimConfig,
@@ -24,7 +26,7 @@ from .stochastic import (
     power_warp,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     power_warps,
 )
-from .tensor_algebra import unstack
+from .tensor_algebra import inverse_levels, mul_levels, unstack
 
 __all__ = [
     "sdtw_divergence",
@@ -92,9 +94,15 @@ def run_warp_experiment(
     x = brownian(cfg)
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
     # the warps keep the time grid, so x and its warps are signed in
-    # one batch
+    # one batch; row 0 is x
     warps = [make_path(w, x.times) for w in power_warps(x.points, x.times, ps)]
-    sig_x, *sig_warps = unstack(signatures([x, *warps], depth), x.dim)
+    sigs = signatures([x, *warps], depth)
+    # point_divergence of x against every warp: Phi(x) Phi(y)^-1 for all
+    # warps at once, then loss_L row by row
+    quotients = mul_levels(
+        [lev[:1] for lev in sigs], inverse_levels([lev[1:] for lev in sigs])
+    )
+    geometric = [loss_L(q) for q in unstack(quotients, x.dim)]
     # every soft value in one kernel call: (x, x), then (x, y) and (y, y)
     # per warp, each at every gamma
     pairs = [(x, x)] + [pair for y in warps for pair in ((x, y), (y, y))]
@@ -104,9 +112,11 @@ def run_warp_experiment(
         gammas * len(pairs),
     ).reshape(len(pairs), len(gammas))
     sdtw = soft[1::2] - 0.5 * (soft[0] + soft[2::2])
-    rows = []
-    for p, y, sig_y, sdtw_y in zip(ps, warps, sig_warps, sdtw.tolist()):
-        rows.append([p, point_divergence(sig_x, sig_y, depth), *sdtw_y, dtw(x, y)])
+    hard = dtws([x] * len(warps), warps)
+    rows = [
+        [p, g, *sdtw_y, h]
+        for p, g, sdtw_y, h in zip(ps, geometric, sdtw.tolist(), hard.tolist())
+    ]
     return header, rows
 
 

@@ -10,12 +10,13 @@ discarded by every operation (quotient semantics).
 All functions are pure and use a fixed summation order, so identical
 inputs give bit-identical outputs.
 
-The products and exponentials are computed by batch kernels
-(``mul_levels``, ``exp_levels``) on level lists whose arrays carry
-leading batch axes: ``levels[m]`` has shape ``(..., width**m)``.  They
-work elementwise along the batch axes, so an element's result does not
-depend on the batch it is computed in.  ``mul`` and ``exp_of_vector``
-are thin wrappers over them.
+The products, inverses and exponentials are computed by batch kernels
+(``mul_levels``, ``inverse_levels``, ``exp_levels``) on level lists
+whose arrays carry leading batch axes: ``levels[m]`` has shape
+``(..., width**m)``, and ``(rows, width**m)`` for ``inverse_levels``.
+They work elementwise along the batch axes, so an element's result does
+not depend on the batch it is computed in.  ``mul``, ``inverse`` and
+``exp_of_vector`` are thin wrappers over them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "mul",
     "mul_levels",
     "inverse",
+    "inverse_levels",
     "antipode",
     "exp_of_vector",
     "exp_levels",
@@ -223,17 +225,30 @@ def inverse(t: TruncatedTensor) -> TruncatedTensor:
     The series terminates because 1 - t/t_0 has zero scalar part, so its
     powers vanish below the truncation depth.
     """
-    t0 = t.scalar
-    if abs(t0) <= INVERTIBILITY_TOL:
+    inv = inverse_levels([lev[None] for lev in t.levels])
+    return TruncatedTensor(t.width, t.depth, tuple(lev[0] for lev in inv))
+
+
+def inverse_levels(levels) -> list[np.ndarray]:
+    """:func:`inverse` of each row of a level batch ``(rows, d**m)``.
+
+    Raises :class:`NonInvertibleError` if any row's scalar part is too
+    close to zero.
+    """
+    t0 = levels[0][:, :1]
+    bad = np.abs(t0) <= INVERTIBILITY_TOL
+    if bad.any():
         raise NonInvertibleError(
-            f"scalar part {t0!r} is too close to zero to invert"
+            f"scalar part {float(t0[bad][0])!r} is too close to zero to invert"
         )
-    one = unit(t.width, t.depth)
-    u = sub(one, scale(1.0 / t0, t))
+    c = 1.0 / t0
+    one = [np.zeros_like(lev) for lev in levels]
+    one[0][:] = 1.0
+    u = [a - c * b for a, b in zip(one, levels)]
     acc = one
-    for _ in range(t.depth):
-        acc = add(one, mul(u, acc))
-    return scale(1.0 / t0, acc)
+    for _ in range(len(levels) - 1):
+        acc = [a + b for a, b in zip(one, mul_levels(u, acc))]
+    return [c * lev for lev in acc]
 
 
 def antipode(t: TruncatedTensor) -> TruncatedTensor:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trackscore.baselines import cost_matrix, dtw, soft_dtw, soft_dtws
+from trackscore.baselines import cost_matrix, dtw, dtws, soft_dtw, soft_dtws
 
 from oracles import soft_dtw_loop
 
@@ -127,6 +127,25 @@ def test_soft_dtws_row_alone_equals_row_in_batch():
     xs, ys, gs = _mixed_batch(5)
     got = soft_dtws(xs, ys, gs)
     assert [soft_dtw(x, y, g) for x, y, g in zip(xs, ys, gs)] == got.tolist()
+
+
+def test_dtws_equals_dtw_bit_for_bit():
+    # mixed lengths, length one included, at widths 1 to 3, plus a pair
+    # whose costs overflow
+    rng = np.random.default_rng(7)
+    xs, ys = [], []
+    for n, m in ((1, 1), (1, 7), (6, 1), (5, 9), (9, 5), (8, 8), (40, 33)):
+        for d in (1, 2, 3):
+            for _ in range(2):
+                xs.append(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4))
+                ys.append(rng.standard_normal((m, d)))
+    xs.append(np.array([[1e200], [0.0]]))
+    ys.append(np.array([[-1e200], [1e200]]))
+    order = rng.permutation(len(xs))
+    xs, ys = [xs[k] for k in order], [ys[k] for k in order]
+    got = dtws(xs, ys)
+    assert np.array_equal(got, [dtw(x, y) for x, y in zip(xs, ys)])
+    assert got[np.argmax(order)] == math.inf
 
 
 def test_soft_dtw_overflowing_costs_give_inf():

@@ -156,6 +156,14 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_unwritable_out_prints_no_value(staircase_csv, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    code = main(["entropy", "--input", str(staircase_csv), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "missing-dir" in captured.err
+
+
 def test_empty_input_names_file(tmp_path, capsys):
     f = tmp_path / "empty.csv"
     f.write_text("")

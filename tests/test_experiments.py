@@ -106,6 +106,21 @@ def test_warp_geometric_column_matches_per_row_signing():
         assert row[col] == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 123])
+def test_warp_hard_and_geometric_columns_equal_per_row_calls(seed):
+    # the batched hard DTW and quotient columns change no bits
+    from trackscore.scoring import point_divergence
+    from trackscore.stochastic import SimConfig, brownian, power_warp
+
+    header, rows = run_warp_experiment(gammas=(1.0,), depth=4, seed=seed, n_points=5)
+    x = brownian(SimConfig(seed=seed, horizon=1.0, resolution=1e-2, dim=2))
+    geo, hard = header.index("geometric_divergence"), header.index("dtw")
+    for row in rows:
+        y = power_warp(x, row[0])
+        assert row[hard] == dtw(x, y)
+        assert row[geo] == point_divergence(x, y, 4)
+
+
 def test_warp_soft_columns_match_per_row_sdtw_divergence():
     # the sweep's one batched kernel call against each cell on its own
     from trackscore.stochastic import SimConfig, brownian, power_warp

@@ -15,6 +15,7 @@ from trackscore.tensor_algebra import (
     from_text,
     inner,
     inverse,
+    inverse_levels,
     is_grouplike,
     is_unital,
     lmul_adjoint,
@@ -110,6 +111,21 @@ def test_antipode_involution_and_antihom():
     b = random_tensor(rng, 3, 3)
     assert_close(antipode(antipode(a)), a)
     assert_close(antipode(mul(a, b)), mul(antipode(b), antipode(a)))
+
+
+@pytest.mark.parametrize("width,depth", [(1, 3), (2, 0), (2, 4), (3, 3)])
+def test_inverse_levels_equals_inverse_row_by_row(width, depth):
+    rng = np.random.default_rng(width * 10 + depth)
+    levels = [rng.standard_normal((6, width**m)) for m in range(depth + 1)]
+    levels[0] += 2.0  # keep every scalar part away from zero
+    batch = inverse_levels(levels)
+    for i in range(6):
+        t = TruncatedTensor(width, depth, tuple(lev[i] for lev in levels))
+        for got, want in zip(batch, inverse(t).levels):
+            assert np.array_equal(got[i], want)
+    levels[0][4] = 0.0
+    with pytest.raises(NonInvertibleError):
+        inverse_levels(levels)
 
 
 def test_antipode_commutes_with_inverse():
