@@ -37,6 +37,7 @@ from .scoring import (
     loss_L,
     mutual_information,
     point_divergence,
+    point_divergences,
     right_loss,
     score,
     score_with_act,

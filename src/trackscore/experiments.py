@@ -4,7 +4,7 @@ Three studies: the warp comparison (geometric divergence against DTW
 variants under increasing time distortion) and two mutual-information
 sweeps (spiral velocity, warped mixture).  Runners return header and
 rows; the CLI serializes them.  Identical arguments give byte-identical
-CSV.
+CSV.  The warp sweep takes each column from one batched kernel call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .baselines import dtws, soft_dtw, soft_dtws
 from .scoring import point_divergence  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .scoring import RIGHT, MIEstimate, loss_L, mutual_information
+from .scoring import RIGHT, MIEstimate, mutual_information, point_divergences
 from .signature import make_path, signatures
 from .stochastic import (
     SimConfig,
@@ -26,7 +26,6 @@ from .stochastic import (
     power_warp,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     power_warps,
 )
-from .tensor_algebra import inverse_levels, mul_levels, unstack
 
 __all__ = [
     "sdtw_divergence",
@@ -39,6 +38,8 @@ __all__ = [
 
 DEFAULT_GAMMAS = (1.0, 0.1, 0.01)
 DEFAULT_RHOS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# Time horizon of the sweeps' tracks, and mi_point's default.
+HORIZON = 1.0
 
 
 def sdtw_divergence(x, y, gamma: float) -> float:
@@ -75,7 +76,6 @@ def run_warp_experiment(
     resolution: float = 1e-2,
     seed: int = 0,
     n_points: int = 13,
-    horizon: float = 1.0,
 ):
     """Distortion sweep: one Brownian track against its power warps.
 
@@ -90,19 +90,14 @@ def run_warp_experiment(
         raise ValueError("need at least two grid points")
     gammas = [float(g) for g in gammas]
     header = ["p", "geometric_divergence", *sdtw_columns(gammas), "dtw"]
-    cfg = SimConfig(seed=seed, horizon=horizon, resolution=resolution, dim=2)
+    cfg = SimConfig(seed=seed, horizon=HORIZON, resolution=resolution, dim=2)
     x = brownian(cfg)
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
     # the warps keep the time grid, so x and its warps are signed in
     # one batch; row 0 is x
     warps = [make_path(w, x.times) for w in power_warps(x.points, x.times, ps)]
     sigs = signatures([x, *warps], depth)
-    # point_divergence of x against every warp: Phi(x) Phi(y)^-1 for all
-    # warps at once, then loss_L row by row
-    quotients = mul_levels(
-        [lev[:1] for lev in sigs], inverse_levels([lev[1:] for lev in sigs])
-    )
-    geometric = [loss_L(q) for q in unstack(quotients, x.dim)]
+    geometric = point_divergences([lev[:1] for lev in sigs], [lev[1:] for lev in sigs])
     # every soft value in one kernel call: (x, x), then (x, y) and (y, y)
     # per warp, each at every gamma
     pairs = [(x, x)] + [pair for y in warps for pair in ((x, y), (y, y))]
@@ -115,7 +110,7 @@ def run_warp_experiment(
     hard = dtws([x] * len(warps), warps)
     rows = [
         [p, g, *sdtw_y, h]
-        for p, g, sdtw_y, h in zip(ps, geometric, sdtw.tolist(), hard.tolist())
+        for p, g, sdtw_y, h in zip(ps, geometric.tolist(), sdtw.tolist(), hard.tolist())
     ]
     return header, rows
 
@@ -136,7 +131,7 @@ def mi_point(
     depth: int,
     seed: int,
     resolution: float = 1e-2,
-    horizon: float = 1.0,
+    horizon: float = HORIZON,
     side: str = RIGHT,
 ) -> MIEstimate:
     """Single mutual-information estimate for one model and rho."""
@@ -152,13 +147,12 @@ def run_mi_experiment(
     depth: int = 4,
     seed: int = 0,
     resolution: float = 1e-2,
-    horizon: float = 1.0,
-    side: str = RIGHT,
 ):
     """Mutual information over a rho grid for one conditional model.
 
     Returns ``(header, rows, estimates)`` with CSV columns
-    ``rho, mi, entropy, n_u, n_x, seed``.  Each grid point runs on its
+    ``rho, mi, entropy, n_u, n_x, seed``.  Tracks run to ``HORIZON`` and
+    acts are taken on the right.  Each grid point runs on its
     own derived seed, so points are independent of evaluation order.
     """
     header = ["rho", "mi", "entropy", "n_u", "n_x", "seed"]
@@ -168,10 +162,7 @@ def run_mi_experiment(
         point_seed = int(
             np.random.SeedSequence((int(seed), k)).generate_state(1, np.uint64)[0]
         )
-        est = mi_point(
-            kind, float(rho), n_u, n_x, depth, point_seed,
-            resolution=resolution, horizon=horizon, side=side,
-        )
+        est = mi_point(kind, float(rho), n_u, n_x, depth, point_seed, resolution=resolution)
         estimates.append(est)
         rows.append([float(rho), est.mi, est.entropy, n_u, n_x, seed])
     return header, rows, estimates

@@ -48,6 +48,9 @@ _INCREASE_LIMIT = 5
 # Step sizes below this fraction of the initial step abort the run.
 _STEP_UNDERFLOW = 1e-20
 
+# Central-difference step of pansu_gradient, relative to 1 + norm(g).
+_FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class DescentConfig:
@@ -159,7 +162,7 @@ def affine_descent(value, grad, start, cfg=None) -> DescentResult:
     )
 
 
-def pansu_gradient(f, g: TruncatedTensor, grad_h=None, fd_step=1e-5) -> np.ndarray:
+def pansu_gradient(f, g: TruncatedTensor, grad_h=None) -> np.ndarray:
     """Degree-one directional derivatives of f at g.
 
     Component i is ``d/d eta f(g * exp(eta e_i))`` at ``eta = 0``.  When
@@ -175,7 +178,7 @@ def pansu_gradient(f, g: TruncatedTensor, grad_h=None, fd_step=1e-5) -> np.ndarr
     if grad_h is not None:
         ambient = grad_h(g)
         return lmul_adjoint(g, ambient).levels[1].copy()
-    h = fd_step * (1.0 + norm(g))
+    h = _FD_STEP * (1.0 + norm(g))
     out = np.zeros(d)
     for i in range(d):
         e = np.zeros(d)

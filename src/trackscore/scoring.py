@@ -23,18 +23,19 @@ reported as ``converged=False``.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optimize import affine_descent  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .signature import PiecewiseLinearPath, _sign_block, signature, signatures
+from .signature import PiecewiseLinearPath, _check_memory, _sign_block, signature, signatures
+from .stochastic import _rng
 from .tensor_algebra import (
     TruncatedTensor,
     drop_scalar,
     flatten,
     inverse,
+    inverse_levels,
     is_unital,
     lmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     mul,
@@ -43,7 +44,6 @@ from .tensor_algebra import (
     rmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     sub,
     unflatten,
-    unstack,
 )
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "divergence",
     "divergence_with_acts",
     "point_divergence",
+    "point_divergences",
     "mutual_information",
     "expected_signature",
     "linear_divergence",
@@ -208,11 +209,6 @@ class _SliceProblem:
     quad: np.ndarray
     width: int
     depth: int
-    side: str
-
-    @property
-    def sigs(self) -> list[TruncatedTensor]:
-        return unstack(self.levels, self.width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,7 +280,7 @@ def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem
     )
     levels = signatures(mu.paths, depth)
     quad = _quad_forms([lev[None] for lev in levels], mu.weights[None], side)[0]
-    return _SliceProblem(levels, mu.weights, quad, mu.dim, depth, side)
+    return _SliceProblem(levels, mu.weights, quad, mu.dim, depth)
 
 
 def _slice_objective(prob: _SliceProblem):
@@ -442,7 +438,19 @@ def point_divergence(x, y, depth: int) -> float:
         raise ValueError(f"signatures must have depth {depth}, got {sx.depth} and {sy.depth}")
     if sx.width != sy.width:
         raise ValueError("paths must share one dimension")
-    return loss_L(mul(sx, inverse(sy)))
+    rows = [[lev[None] for lev in s.levels] for s in (sx, sy)]
+    return float(point_divergences(*rows)[0])
+
+
+def point_divergences(sx, sy) -> np.ndarray:
+    """:func:`point_divergence` row by row over signature level batches
+    ``(rows, d**m)``; a one-row ``sx`` is taken against every row of
+    ``sy``.  Each value equals :func:`loss_L` of that row's quotient
+    ``Phi(x) Phi(y)^{-1}`` bit for bit."""
+    quotients = mul_levels(sx, inverse_levels(sy))
+    # loss_L per row: one dot product per degree, summed in its order
+    squares = ((lev[:, None, :] @ lev[:, :, None])[:, 0, 0] for lev in quotients[1:])
+    return sum(squares, np.zeros(len(quotients[0])))
 
 
 def expected_signature(mu: EmpiricalMeasure, depth: int) -> TruncatedTensor:
@@ -457,31 +465,6 @@ def linear_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, depth: int) ->
         raise ValueError("measures must share one dimension")
     diff = sub(expected_signature(mu, depth), expected_signature(nu, depth))
     return norm(diff) ** 2
-
-
-def _draw_rng(seed, *stream):
-    # the stream of np.random.default_rng(seed_sequence), without its
-    # argument dispatch
-    seq = np.random.SeedSequence((int(seed),) + tuple(stream))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
-def _physical_memory() -> int | None:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(need: int, what: str) -> None:
-    # Refuses ``what`` when its estimated ``need`` in bytes exceeds
-    # physical memory; callers check before they allocate.
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            f"{what} needs an estimated {need:,} bytes, more than the "
-            f"{have:,} bytes of physical memory"
-        )
 
 
 def _check_size(n_u: int, n_x: int, points: int, width: int, depth: int) -> None:
@@ -528,16 +511,16 @@ def mutual_information(
         raise ValueError("need at least two conditions and two paths each")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    u0 = model.sample_condition(_draw_rng(seed, 1, 0))
+    u0 = model.sample_condition(_rng(seed, 1, 0))
     # a throwaway track of the first conditional family gives the shape
-    _, points, width = model.sample_paths([_draw_rng(seed, 2, 0, 0)], [u0]).shape
+    _, points, width = model.sample_paths([_rng(seed, 2, 0, 0)], [u0]).shape
     _check_size(n_u, n_x, points, width, depth)
-    rngs = [_draw_rng(seed, 0, j) for j in range(n_x)]
+    rngs = [_rng(seed, 0, j) for j in range(n_x)]
     conditions = [model.sample_condition(rng) for rng in rngs]
     for k in range(n_u):
-        u = model.sample_condition(_draw_rng(seed, 1, k)) if k else u0
+        u = model.sample_condition(_rng(seed, 1, k)) if k else u0
         conditions.extend([u] * n_x)
-        rngs.extend(_draw_rng(seed, 2, k, j) for j in range(n_x))
+        rngs.extend(_rng(seed, 2, k, j) for j in range(n_x))
     tracks = model.sample_paths(rngs, conditions)
     if not np.isfinite(tracks).all():
         raise ValueError("simulated tracks must be finite")

@@ -3,24 +3,26 @@
 The signature of a path is the collection of its iterated integrals up
 to a truncation degree.  For a piecewise linear path it equals the
 product of tensor exponentials of the segment increments (Chen's
-identity).  :func:`signatures` evaluates it for many paths at once.
-Each path is cut into fixed-length chunks, and every chunk is signed by
-the fused multiply-exponentiate fold ``S <- S (x) exp(delta)`` in Horner
-form, vectorised over all (path, chunk) rows, so no segment exponential
-is ever formed.  The rows sit on the last axis of every array in the
-fold, so each numpy call runs its inner loop over all rows; the result
-is bit-identical to the same fold with one row per leading index.  The
-chunk products are then folded left to right, so the cost is linear in
-the number of segments and the Python-level steps grow only with the
-chunk length and the number of chunks.  The signature depends only on
-the traced-out track: reparametrization, refinement of breakpoints and
-translation all leave it unchanged.
+identity).  :func:`signatures` evaluates it for many paths at once,
+signing each stacked ``(batch, n + 1, d)`` point array of equal-length
+paths in one kernel call.  Each path is cut into fixed-length chunks,
+and every chunk is signed by the fused multiply-exponentiate fold
+``S <- S (x) exp(delta)`` in Horner form, vectorised over all
+(path, chunk) rows, so no segment exponential is ever formed.  The
+increments, taken in one subtract, are copied once so that the rows
+sit on the last axis, and each numpy call runs its inner loop over all
+rows; the result is bit-identical to the same fold with one row per
+leading index.  The chunk products are then folded left to right, so
+the cost is linear in the number of segments.  The signature depends
+only on the traced-out track: reparametrization, refinement of
+breakpoints and translation all leave it unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +127,8 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
 
     Paths with the same number of breakpoints are signed in one kernel
     call.  Each path's result equals :func:`signature` of that path
-    bit for bit.
+    bit for bit.  A request whose estimated memory exceeds physical
+    memory raises ``ValueError`` before anything is allocated.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -135,14 +138,36 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
     d = paths[0].dim
     if any(p.dim != d for p in paths):
         raise ValueError("all paths must share one dimension")
+    # the output tensors, and the fold's accumulators: one per chunk
+    tensors = len(paths) + sum(_chunking(p.n_segments)[1] for p in paths)
+    need = 8 * tensors * sum(d**m for m in range(depth + 1))
+    _check_memory(need, f"signing {len(paths)} paths of width {d} at depth {depth}")
     out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(paths):
         by_length.setdefault(p.n_segments, []).append(i)
     for idx in by_length.values():
-        for o, lev in zip(out, _sign_block([paths[i].points for i in idx], depth)):
+        for o, lev in zip(out, _sign_block(np.stack([paths[i].points for i in idx]), depth)):
             o[idx] = lev
     return out
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(need: int, what: str) -> None:
+    # Refuses ``what`` when its estimated ``need`` in bytes exceeds
+    # physical memory; callers check before they allocate.
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{what} needs an estimated {need:,} bytes, more than the "
+            f"{have:,} bytes of physical memory"
+        )
 
 
 def _chunking(n_segments: int) -> tuple[int, int]:
@@ -151,29 +176,20 @@ def _chunking(n_segments: int) -> tuple[int, int]:
     return chunk, max(1, -(-n_segments // chunk))
 
 
-def _sign_block(points: list[np.ndarray], depth: int) -> list[np.ndarray]:
-    """Signature levels of polylines given as equal-shape ``(n + 1, d)``
-    point arrays.  ``n = 0`` folds one chunk of zero padding and depth 0
+def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Signature levels of polylines stacked as one ``(batch, n + 1, d)``
+    point array.  ``n = 0`` folds one chunk of zero padding and depth 0
     folds no degree, so both return exact units."""
-    batch, n, d = len(points), points[0].shape[0] - 1, points[0].shape[1]
+    batch, n, d = points.shape[0], points.shape[1] - 1, points.shape[2]
     chunk, n_chunks = _chunking(n)
     rows = batch * n_chunks
-    # The (path, chunk) rows are the last axis, so every numpy call below
-    # loops over all rows in its inner loop rather than over the d
-    # coordinates.  Zero increments pad the last chunk; folding one in
-    # adds exact zeros, which leaves every coefficient unchanged.  Each
-    # path's increments are written in place from its own points; one
-    # subtract over stacked points would copy both of its operands first.
-    increments = np.zeros((chunk, d, batch, n_chunks))
-    full, rest = divmod(n, chunk)
-    for inc, pts in zip(increments.transpose(2, 3, 0, 1), points):
-        head = pts[: full * chunk + 1]
-        np.subtract(
-            head[1:].reshape(full, chunk, d), head[:-1].reshape(full, chunk, d), out=inc[:full]
-        )
-        if rest:
-            np.subtract(pts[full * chunk + 1 :], pts[full * chunk : -1], out=inc[full, :rest])
-    increments = increments.reshape(chunk, d, rows)
+    # Zero increments pad the last chunk: folding one in adds exact zeros.
+    increments = np.zeros((batch, n_chunks * chunk, d))
+    np.subtract(points[:, 1:], points[:, :-1], out=increments[:, :n])
+    # The (path, chunk) rows move to the last axis, so each numpy call
+    # below loops over all rows rather than over the d coordinates; the
+    # copy is contiguous, since on a transposed view every slice is strided.
+    increments = np.ascontiguousarray(increments.reshape(rows, chunk, d).transpose(1, 2, 0))
     acc = [np.zeros((d**m, rows)) for m in range(depth + 1)]
     acc[0][:] = 1.0
     divisors = np.arange(1.0, depth + 1)[:, None, None]

@@ -67,8 +67,9 @@ class SimConfig:
         return np.arange(n + 1) * self.resolution
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
+def _rng(seed, *stream) -> np.random.Generator:
+    # default_rng(SeedSequence((seed, *stream))), without its argument dispatch
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + stream)))
 
 
 def _brownian_points(rngs, cfg: SimConfig) -> np.ndarray:

@@ -63,6 +63,9 @@ __all__ = [
 # Scalar parts closer to zero than this cannot be inverted stably.
 INVERTIBILITY_TOL = 1e-12
 
+# Largest distance of a unital tensor's scalar part from one.
+UNITAL_TOL = 1e-12
+
 # Relative tolerance for the group-likeness predicate.
 GROUPLIKE_REL_TOL = 1e-9
 
@@ -310,16 +313,16 @@ def drop_scalar(t: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(t.width, t.depth, tuple(out))
 
 
-def is_unital(t: TruncatedTensor, tol: float = 1e-12) -> bool:
-    return abs(t.scalar - 1.0) <= tol
+def is_unital(t: TruncatedTensor) -> bool:
+    return abs(t.scalar - 1.0) <= UNITAL_TOL
 
 
-def is_grouplike(t: TruncatedTensor, rel_tol: float = GROUPLIKE_REL_TOL) -> bool:
+def is_grouplike(t: TruncatedTensor) -> bool:
     """Tests whether the antipode inverts t, i.e. antipode(t) * t = 1."""
     if abs(t.scalar) <= INVERTIBILITY_TOL:
         return False
     resid = sub(mul(antipode(t), t), unit(t.width, t.depth))
-    return norm(resid) <= rel_tol * (1.0 + norm(t))
+    return norm(resid) <= GROUPLIKE_REL_TOL * (1.0 + norm(t))
 
 
 def lmul_adjoint(g: TruncatedTensor, w: TruncatedTensor) -> TruncatedTensor:

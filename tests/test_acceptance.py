@@ -357,12 +357,14 @@ def test_criterion_9_complexity(capsys):
     def sig_seconds(L):
         pts = np.cumsum(rng.normal(0.0, 1.0 / np.sqrt(L), (L + 1, 2)), axis=0)
         path = make_path(pts)
-        start = time.perf_counter()
+        start = time.process_time()
         signature(path, 4)
-        return time.perf_counter() - start
+        return time.process_time() - start
 
-    # interleave the two sizes and take minima so a load transient has
-    # to survive every repetition of a size to bias the ratio
+    # process CPU time, which other processes' load moves less than the
+    # wall clock; the two sizes are interleaved and minima taken so a
+    # transient has to survive every repetition of a size to bias the
+    # ratio
     sig_seconds(10_000)  # warm up allocators
     sig_times = [(sig_seconds(100_000), sig_seconds(200_000)) for _ in range(3)]
     t_half = min(t for t, _ in sig_times)
@@ -372,9 +374,9 @@ def test_criterion_9_complexity(capsys):
     def dtw_seconds(n):
         x = rng.normal(0.0, 1.0, (n, 2))
         y = rng.normal(0.0, 1.0, (n, 2))
-        start = time.perf_counter()
+        start = time.process_time()
         dtw(x, y)
-        return time.perf_counter() - start
+        return time.process_time() - start
 
     dtw_seconds(100)
     dtw_times = [(dtw_seconds(400), dtw_seconds(800)) for _ in range(5)]

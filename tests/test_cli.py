@@ -1,5 +1,6 @@
 """End-to-end command line behavior, exit codes and artifacts."""
 
+import importlib
 import json
 
 import numpy as np
@@ -15,6 +16,10 @@ from trackscore.signature import (
     write_paths_csv,
 )
 from trackscore.tensor_algebra import to_text
+
+# the module, whose name the package's signature() function shadows
+signature_module = importlib.import_module("trackscore.signature")
+
 
 STAIRCASE = (
     "series_id,t,x1,x2\n"
@@ -384,13 +389,25 @@ def test_mi_too_large_for_memory_is_data_error(capsys):
 def test_act_too_large_for_memory_is_data_error(tmp_path, pair_csv, monkeypatch, capsys):
     # refused by arithmetic before anything is signed: 2 paths of width 2
     # at depth 8, so D = 511
-    from trackscore import scoring
 
     need = 8 * (2 * 511 + 3 * 511 * 511)
-    monkeypatch.setattr(scoring, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     for argv in (["entropy", "--input", str(pair_csv)],
                  ["divergence", "--a", str(pair_csv), "--b", str(pair_csv)]):
         assert main([*argv, "--depth", "8"]) == 2
         assert f"needs an estimated {need:,} bytes" in capsys.readouterr().err
-    monkeypatch.setattr(scoring, "_physical_memory", lambda: need)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
     assert main(["entropy", "--input", str(pair_csv), "--depth", "8"]) == 0
+
+
+@pytest.mark.parametrize("command", ["sig", "experiment-warp"])
+def test_signatures_too_large_for_memory_is_data_error(tmp_path, pair_csv, command, capsys):
+    # depth 40 at width 2 is D = 2**41 - 1 coefficients per signature,
+    # refused by arithmetic before anything is signed or written
+    out = tmp_path / "out.txt"
+    argv = ["--input", str(pair_csv)] if command == "sig" else []
+    assert main([command, *argv, "--depth", "40", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs an estimated" in captured.err and "depth 40" in captured.err
+    assert not list(tmp_path.glob("out*"))

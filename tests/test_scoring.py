@@ -1,6 +1,7 @@
 """Bayes acts, losses, entropies, divergences and the MI estimator."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from trackscore.scoring import (
     loss_L,
     mutual_information,
     point_divergence,
+    point_divergences,
     right_loss,
     score,
 )
-from trackscore.signature import concat, make_path, reverse, signature
+from trackscore.signature import concat, make_path, reverse, signature, signatures
 from trackscore.tensor_algebra import (
     TruncatedTensor,
     antipode,
@@ -33,7 +35,12 @@ from trackscore.tensor_algebra import (
     norm,
     rmul_matrix,
     unit,
+    unstack,
 )
+
+# the module, whose name the package's signature() function shadows
+signature_module = importlib.import_module("trackscore.signature")
+
 
 CFG = DescentConfig(max_iters=4000, grad_tol=1e-11)
 
@@ -207,6 +214,25 @@ def test_point_divergence_vanishes_on_reparametrization():
     assert point_divergence(x, refined, 4) <= 1e-12
 
 
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_point_divergences_equal_loss_of_each_quotient(width, depth):
+    # the batched kernel against loss_L of the tensor quotient, row by
+    # row: one x against many ys, and x_i against y_i
+    rng = np.random.default_rng(20 + width * 10 + depth)
+    xs = [random_path(rng, n_segments=5, dim=width) for _ in range(6)]
+    ys = [random_path(rng, n_segments=7, dim=width) for _ in range(6)]
+    sx, sy = signatures(xs, depth), signatures(ys, depth)
+    tx, ty = unstack(sx, width), unstack(sy, width)
+    one = point_divergences([lev[:1] for lev in sx], sy)
+    rowwise = point_divergences(sx, sy)
+    assert one.shape == rowwise.shape == (6,)
+    for k in range(6):
+        assert one[k] == loss_L(mul(tx[0], inverse(ty[k])))
+        assert rowwise[k] == loss_L(mul(tx[k], inverse(ty[k])))
+        assert point_divergence(xs[0], ys[k], depth) == one[k]
+
+
 def test_linear_divergence_frozen_value():
     x = make_path([[0.0, 0.0], [1.0, 0.0]])
     y = make_path([[0.0, 0.0], [0.0, 1.0]])
@@ -240,7 +266,7 @@ def test_slice_gradient_matches_averaged_adjoints():
         _, grad = _slice_objective(prob)
         g1 = grad(u)
         g2 = 0.0 * unit(2, 3)
-        for w, s in zip(prob.weights, prob.sigs):
+        for w, s in zip(prob.weights, unstack(prob.levels, prob.width)):
             term = adj(s, mul(s, u) if side == RIGHT else mul(u, s))
             g2 = g2 + term * float(2.0 * w)
         g2 = drop_scalar(g2)
@@ -371,20 +397,20 @@ def test_mutual_information_matches_per_family_entropies():
     # the batched estimator against one entropy solve per family, on
     # the draws it documents: stream (seed, 0, j) for the unconditional
     # family, (seed, 1, k) and (seed, 2, k, j) for family k
-    from trackscore.scoring import _draw_rng
+    from trackscore.stochastic import _rng
 
     model, n_u, n_x, seed = _ShiftModel(0.5), 3, 5, 4
     est = mutual_information(model, n_u, n_x, RIGHT, 3, seed=seed)
     uncond = []
     for j in range(n_x):
-        rng = _draw_rng(seed, 0, j)
+        rng = _rng(seed, 0, j)
         uncond.append(model.sample_path(rng, model.sample_condition(rng)))
     assert est.entropy == pytest.approx(
         entropy(EmpiricalMeasure.uniform(uncond), RIGHT, 3), rel=1e-12
     )
     for k in range(n_u):
-        u = model.sample_condition(_draw_rng(seed, 1, k))
-        fam = [model.sample_path(_draw_rng(seed, 2, k, j), u) for j in range(n_x)]
+        u = model.sample_condition(_rng(seed, 1, k))
+        fam = [model.sample_path(_rng(seed, 2, k, j), u) for j in range(n_x)]
         assert est.conditional_entropies[k] == pytest.approx(
             entropy(EmpiricalMeasure.uniform(fam), RIGHT, 3), rel=1e-12
         )
@@ -416,7 +442,6 @@ def test_mutual_information_size_guard(monkeypatch):
     # refused before the draws: the model makes the probe's condition
     # and track, and nothing more.  _ShiftModel tracks have 5 points of
     # width 2; depth 2 has D = 7.
-    from trackscore import scoring
 
     class Probed(_ShiftModel):
         def __init__(self, strength):
@@ -440,10 +465,10 @@ def test_mutual_information_size_guard(monkeypatch):
     assert model.calls == ["condition", 1]
     # the bound is the estimate itself
     need = 8 * (2 * 3 * (5 * 2 + 7) + 2 * 3 * 7 * 7)
-    monkeypatch.setattr(scoring, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=f"{need:,} bytes"):
         mutual_information(_ShiftModel(0.5), 2, 2, RIGHT, 2)
-    monkeypatch.setattr(scoring, "_physical_memory", lambda: need)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
     assert mutual_information(_ShiftModel(0.5), 2, 2, RIGHT, 2).converged
 
 
@@ -468,22 +493,27 @@ def test_act_size_guard_refuses_before_signing(monkeypatch):
 
     mu = random_measure(np.random.default_rng(13), 3)
     need = 8 * (3 * 511 + 3 * 511 * 511)
-    monkeypatch.setattr(scoring, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
         m.setattr(scoring, "signatures", unsigned)
         for call in (lambda: bayes_act(mu, RIGHT, 8), lambda: divergence(mu, mu, LEFT, 8)):
             with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
                 call()
-    monkeypatch.setattr(scoring, "_physical_memory", lambda: need)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
     assert bayes_act(mu, RIGHT, 8).converged
 
 
 def test_draw_streams_and_shared_gram_index():
-    from trackscore.scoring import _draw_rng, _gram_index
+    from trackscore.scoring import _gram_index
+    from trackscore.stochastic import _rng
 
     for key in ((0, 1, 0), (7, 2, 3, 4)):
         ref = np.random.default_rng(np.random.SeedSequence(key))
-        assert np.array_equal(_draw_rng(*key).normal(size=50), ref.normal(size=50))
+        assert np.array_equal(_rng(*key).normal(size=50), ref.normal(size=50))
+    # an int seed and its one-tuple name the same stream
+    for seed in (0, 1, 5, 2**31 - 1, 2**32 + 5, 10**20):
+        ref = np.random.default_rng(np.random.SeedSequence(seed))
+        assert np.array_equal(_rng(seed).normal(size=50), ref.normal(size=50))
     q, g = _gram_index(2, 3, RIGHT)
     assert _gram_index(2, 3, RIGHT)[0] is q
     assert not q.flags.writeable and not g.flags.writeable

@@ -1,5 +1,6 @@
 """Signature map, path operations and CSV ingestion."""
 
+import importlib
 import io
 import tracemalloc
 
@@ -35,6 +36,10 @@ from trackscore.tensor_algebra import (
 )
 
 from oracles import iterated_integrals, sign_rows_fold
+
+
+# the module, whose name the package's signature() function shadows
+signature_module = importlib.import_module("trackscore.signature")
 
 
 def random_path(rng, n_segments, dim=2, scale=1.0):
@@ -278,7 +283,13 @@ def test_rows_last_kernel_equals_row_major_fold(dim, depth):
         for n_segments in (0, 1, CHUNK_SEGMENTS - 1, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 300):
             paths = [random_path(rng, n_segments, dim=dim, scale=0.3) for _ in range(batch)]
             ref = sign_rows_fold([p.points for p in paths], depth)
-            for got in (_sign_block([p.points for p in paths], depth), signatures(paths, depth)):
+            # the kernel's stacked input, in C and in Fortran order
+            stacked = np.stack([p.points for p in paths])
+            for got in (
+                _sign_block(stacked, depth),
+                _sign_block(np.asfortranarray(stacked), depth),
+                signatures(paths, depth),
+            ):
                 assert len(got) == depth + 1
                 for a, b in zip(got, ref):
                     assert a.shape == b.shape and np.array_equal(a, b), (batch, n_segments)
@@ -307,6 +318,25 @@ def test_kernel_chunking_and_working_set():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * (point_bytes + sig_bytes), (n_paths, n_segments, peak)
+
+
+def test_signatures_size_guard_refuses_before_signing(monkeypatch):
+    # 3 paths of 300 segments fold 3 chunks each, and depth 3 at width 2
+    # has D = 15: the 3 outputs and 9 accumulators take 8 * 15 * (3 + 9)
+    # bytes
+    def unsigned(*args):
+        raise AssertionError("signed past the guard")
+
+    paths = [random_path(np.random.default_rng(3), 300, scale=0.1) for _ in range(3)]
+    need = 8 * 15 * (3 + 9)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(signature_module, "_sign_block", unsigned)
+        with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
+            signatures(paths, 3)
+    # the bound is the estimate itself
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
+    assert signatures(paths, 3)[3].shape == (3, 8)
 
 
 def test_signatures_validation():
