@@ -64,9 +64,6 @@ from .stochastic import (
     brownian,
     power_warp,
     power_warps,
-    sample_omega,
-    spiral_process,
-    warped_mix_process,
 )
 from .tensor_algebra import (
     DimensionMismatchError,

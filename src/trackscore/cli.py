@@ -46,21 +46,17 @@ from .signature import (
     signatures,
     time_augment,
 )
-from .tensor_algebra import DimensionMismatchError, to_text, unstack
+from .tensor_algebra import to_text, unstack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_DATA_ERRORS = (
-    CsvFormatError,
-    DimensionMismatchError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    ValueError,
-)
+# CsvFormatError and DimensionMismatchError are ValueErrors, and the
+# file errors OSErrors; an allocation can fail below the memory guards,
+# for example under an address-space limit
+_DATA_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class NumericalFailure(RuntimeError):
@@ -322,7 +318,7 @@ def main(argv=None) -> int:
         print(f"trackscore: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _DATA_ERRORS as exc:
-        print(f"trackscore: error: {exc}", file=sys.stderr)
+        print(f"trackscore: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -162,22 +162,19 @@ def affine_descent(value, grad, start, cfg=None) -> DescentResult:
     )
 
 
-def pansu_gradient(f, g: TruncatedTensor, grad_h=None) -> np.ndarray:
+def pansu_gradient(f, g: TruncatedTensor) -> np.ndarray:
     """Degree-one directional derivatives of f at g.
 
     Component i is ``d/d eta f(g * exp(eta e_i))`` at ``eta = 0``.  When
-    an ambient gradient is available (``grad_h`` callable, or an
-    ``euclidean_gradient`` attribute on f) the chain rule gives the
+    f has an ``euclidean_gradient`` attribute the chain rule gives the
     exact value; otherwise scale-relative central differences are used.
     """
-    if grad_h is None:
-        grad_h = getattr(f, "euclidean_gradient", None)
+    ambient = getattr(f, "euclidean_gradient", None)
     d = g.width
     if g.depth == 0:
         return np.zeros(d)
-    if grad_h is not None:
-        ambient = grad_h(g)
-        return lmul_adjoint(g, ambient).levels[1].copy()
+    if ambient is not None:
+        return lmul_adjoint(g, ambient(g)).levels[1].copy()
     h = _FD_STEP * (1.0 + norm(g))
     out = np.zeros(d)
     for i in range(d):
@@ -189,7 +186,7 @@ def pansu_gradient(f, g: TruncatedTensor, grad_h=None) -> np.ndarray:
     return out
 
 
-def pansu_descent(f, start, cfg=None, grad_h=None) -> DescentResult:
+def pansu_descent(f, start, cfg=None) -> DescentResult:
     """Descent over group-like tensors via right-multiplied exponentials.
 
     The update is ``g <- g * exp(-step * Df(g))`` with Df the degree-one
@@ -208,7 +205,7 @@ def pansu_descent(f, start, cfg=None, grad_h=None) -> DescentResult:
     iterations = 0
     status = "budget_exhausted"
     while True:
-        v = pansu_gradient(f, g, grad_h=grad_h)
+        v = pansu_gradient(f, g)
         gn = float(np.linalg.norm(v))
         if cfg.record_trace:
             trace.append((iterations, obj, gn, step))
@@ -233,7 +230,7 @@ def pansu_descent(f, start, cfg=None, grad_h=None) -> DescentResult:
             break
         g, obj = g_try, obj_try
         iterations += 1
-    v = pansu_gradient(f, g, grad_h=grad_h)
+    v = pansu_gradient(f, g)
     return DescentResult(
         minimizer=g,
         objective=obj,
@@ -278,7 +275,7 @@ class TaylorReport:
     degenerate: bool
 
 
-def taylor_check(f, g: TruncatedTensor, v, eta_grid, grad_h=None) -> TaylorReport:
+def taylor_check(f, g: TruncatedTensor, v, eta_grid) -> TaylorReport:
     etas = np.asarray(eta_grid, dtype=float).reshape(-1)
     if etas.shape[0] < 3:
         raise ValueError("eta grid needs at least 3 points")
@@ -286,7 +283,7 @@ def taylor_check(f, g: TruncatedTensor, v, eta_grid, grad_h=None) -> TaylorRepor
         raise ValueError("eta grid must be positive")
     v = np.asarray(v, dtype=float).reshape(-1)
     f0 = float(f(g))
-    directional = float(pansu_gradient(f, g, grad_h=grad_h) @ v)
+    directional = float(pansu_gradient(f, g) @ v)
     rems = np.array(
         [
             abs(float(f(mul(g, exp_of_vector(eta * v, g.depth)))) - f0 - eta * directional)

@@ -43,6 +43,7 @@ from .tensor_algebra import (
     norm,
     rmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     sub,
+    tensor_dim,
     unflatten,
 )
 
@@ -273,7 +274,7 @@ def _expected_losses(levels, weights: np.ndarray, x: np.ndarray, side: str) -> n
 def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem:
     _check_side(side)
     # signatures, plus the Gram matrix, the gathered form and its factor
-    dim = sum(mu.dim**m for m in range(depth + 1))
+    dim = tensor_dim(mu.dim, depth)
     _check_memory(
         8 * (len(mu) * dim + 3 * dim * dim),
         f"an act over {len(mu)} paths of width {mu.dim} at depth {depth}",
@@ -472,7 +473,7 @@ def _check_size(n_u: int, n_x: int, points: int, width: int, depth: int) -> None
     forms would not fit in physical memory, before they are allocated.
     ``points`` is the number of breakpoints per track."""
     draws = n_x * (n_u + 1)
-    dim = sum(width**m for m in range(depth + 1))
+    dim = tensor_dim(width, depth)
     _check_memory(
         8 * (draws * (points * width + dim) + 2 * (n_u + 1) * dim * dim),
         f"mutual information with n_u={n_u}, n_x={n_x} and depth {depth}",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_algebra import TruncatedTensor, mul_levels
+from .tensor_algebra import TruncatedTensor, mul_levels, tensor_dim
 
 __all__ = [
     "PiecewiseLinearPath",
@@ -140,7 +140,7 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
         raise ValueError("all paths must share one dimension")
     # the output tensors, and the fold's accumulators: one per chunk
     tensors = len(paths) + sum(_chunking(p.n_segments)[1] for p in paths)
-    need = 8 * tensors * sum(d**m for m in range(depth + 1))
+    need = 8 * tensors * tensor_dim(d, depth)
     _check_memory(need, f"signing {len(paths)} paths of width {d} at depth {depth}")
     out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
     by_length: dict[int, list[int]] = {}

@@ -1,9 +1,9 @@
 """Seeded simulators used by the simulation experiments.
 
-All randomness flows through numpy's PCG64 generator.  Top-level
-simulators derive their generator from ``SimConfig.seed``; the sampler
-classes take explicit generators, one per draw, so that callers can
-hand every draw its own derived stream and stay order-independent.
+All randomness flows through numpy's PCG64 generator.  Only
+:func:`brownian` derives its generator from ``SimConfig.seed``; the
+models take explicit generators, one per draw, so that callers can hand
+every draw its own derived stream and stay order-independent.
 
 A conditional model (:class:`SpiralModel`, :class:`WarpedMixModel`)
 exposes ``sample_condition(rng)`` and ``sample_paths(rngs,
@@ -32,9 +32,6 @@ __all__ = [
     "brownian",
     "power_warp",
     "power_warps",
-    "sample_omega",
-    "spiral_process",
-    "warped_mix_process",
     "SpiralModel",
     "WarpedMixModel",
 ]
@@ -45,7 +42,9 @@ OMEGA_MAX = 8.0 * math.pi
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings: seed, horizon, grid resolution, dimension."""
+    """Simulation settings: seed, horizon, grid resolution, dimension.
+    The resolution must divide the horizon into whole steps, so that the
+    grid ends on the horizon."""
 
     seed: int = 0
     horizon: float = 1.0
@@ -57,6 +56,11 @@ class SimConfig:
             raise ValueError("horizon must be positive")
         if not 0 < self.resolution < self.horizon:
             raise ValueError("resolution must lie in (0, horizon)")
+        steps = round(self.horizon / self.resolution)
+        if abs(steps * self.resolution - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError(
+                f"resolution {self.resolution:g} does not divide horizon {self.horizon:g}"
+            )
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
 
@@ -155,12 +159,6 @@ def power_warp(x: PiecewiseLinearPath, p: float) -> PiecewiseLinearPath:
     return make_path(power_warps(x.points, x.times, [p])[0], x.times.copy())
 
 
-def sample_omega(rng_or_seed) -> float:
-    """Uniform angular velocity on [0, OMEGA_MAX)."""
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else _rng(rng_or_seed)
-    return float(rng.uniform(0.0, OMEGA_MAX))
-
-
 def _mix(rho: float, signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
     # rho signal + sqrt(1 - rho^2) noise, computed in the two inputs
     signal *= rho
@@ -169,54 +167,37 @@ def _mix(rho: float, signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return signal
 
 
-def _check_rho(rho: float) -> None:
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-
-
-def spiral_process(rho: float, omega: float, cfg: SimConfig) -> PiecewiseLinearPath:
-    """Planar spiral of angular velocity omega mixed with Brownian noise.
-
-    ``rho`` in [0, 1] interpolates between pure noise (0) and the
-    deterministic spiral ``t (cos omega t, sin omega t)`` (1).
-    """
-    return SpiralModel(rho, cfg).sample_path(_rng(cfg.seed), omega)
-
-
-def warped_mix_process(rho: float, cfg: SimConfig, p: float | None = None):
-    """Mixture ``z = rho x_warped + sqrt(1 - rho^2) y`` of two Brownian
-    paths, with warp exponent drawn uniformly from [1, 10).
-
-    Returns ``(x, z, p)``.  Passing ``p`` overrides the draw (the two
-    remaining draws keep their positions in the stream).
-    """
-    _check_rho(rho)
-    # Draw order is fixed: base path, warp exponent, then noise path.
-    rng = _rng(cfg.seed)
-    x = _brownian(rng, cfg)
-    drawn = float(rng.uniform(1.0, 10.0))
-    if p is None:
-        p = drawn
-    noise = _brownian_points([rng], cfg)
-    z = _mix(rho, power_warps(x.points, x.times, [p]), noise)[0]
-    return x, make_path(z, x.times.copy()), p
-
-
 @dataclass(frozen=True)
-class SpiralModel:
-    """Conditional sampler for the spiral family: the condition is the
-    angular velocity, the track is the spiral plus fresh noise."""
+class _Model:
+    """What the two models share: the mixing weight ``rho`` in [0, 1],
+    the simulation settings, and ``sample_path`` as the one-row case of
+    ``sample_paths``."""
 
     rho: float
     cfg: SimConfig
 
     def __post_init__(self):
-        _check_rho(self.rho)
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError("rho must lie in [0, 1]")
+
+    def sample_path(self, rng, condition) -> PiecewiseLinearPath:
+        return make_path(self.sample_paths([rng], [condition])[0], self.cfg.times)
+
+
+@dataclass(frozen=True)
+class SpiralModel(_Model):
+    """Conditional sampler for the spiral family: the condition is the
+    angular velocity, the track is the spiral ``t (cos omega t, sin omega
+    t)`` mixed with fresh noise."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.cfg.dim != 2:
             raise ValueError("spiral model is planar; use dim=2")
 
     def sample_condition(self, rng) -> float:
-        return sample_omega(rng)
+        """Uniform angular velocity on [0, OMEGA_MAX)."""
+        return float(rng.uniform(0.0, OMEGA_MAX))
 
     def sample_paths(self, rngs, conditions) -> np.ndarray:
         """One track per generator and angular velocity, stacked
@@ -227,20 +208,12 @@ class SpiralModel:
         spiral = np.stack([t * np.cos(wt), t * np.sin(wt)], axis=-1)
         return _mix(self.rho, spiral, noise)
 
-    def sample_path(self, rng, condition: float) -> PiecewiseLinearPath:
-        return make_path(self.sample_paths([rng], [condition])[0], self.cfg.times)
-
 
 @dataclass(frozen=True)
-class WarpedMixModel:
+class WarpedMixModel(_Model):
     """Conditional sampler for the warped mixture: the condition is the
-    base path, the track mixes its random time warp with fresh noise."""
-
-    rho: float
-    cfg: SimConfig
-
-    def __post_init__(self):
-        _check_rho(self.rho)
+    base path, the track mixes its power warp, with exponent uniform on
+    [1, 10), and fresh noise."""
 
     def sample_condition(self, rng) -> PiecewiseLinearPath:
         return _brownian(rng, self.cfg)
@@ -253,6 +226,3 @@ class WarpedMixModel:
         ps = [rng.uniform(1.0, 10.0) for rng in rngs]
         warped = power_warps(np.stack([c.points for c in conditions]), self.cfg.times, ps)
         return _mix(self.rho, warped, _brownian_points(rngs, self.cfg))
-
-    def sample_path(self, rng, condition: PiecewiseLinearPath) -> PiecewiseLinearPath:
-        return make_path(self.sample_paths([rng], [condition])[0], self.cfg.times)

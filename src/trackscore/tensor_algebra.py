@@ -31,7 +31,6 @@ __all__ = [
     "NonInvertibleError",
     "unit",
     "zero",
-    "tensor_from_levels",
     "add",
     "sub",
     "scale",
@@ -160,22 +159,6 @@ def unit(width: int, depth: int) -> TruncatedTensor:
 def zero(width: int, depth: int) -> TruncatedTensor:
     levels = tuple(np.zeros(width**m) for m in range(depth + 1))
     return TruncatedTensor(width, depth, levels)
-
-
-def tensor_from_levels(levels, width: int | None = None) -> TruncatedTensor:
-    """Builds a tensor from per-degree coefficient arrays.
-
-    Width is inferred from level 1 when present; a width-0 ambiguity
-    (depth 0) must be resolved by the caller.
-    """
-    arrs = [np.asarray(lev, dtype=float).reshape(-1) for lev in levels]
-    if not arrs:
-        raise ValueError("need at least the scalar level")
-    if width is None:
-        if len(arrs) < 2:
-            raise ValueError("width cannot be inferred from a scalar alone")
-        width = arrs[1].shape[0]
-    return TruncatedTensor(int(width), len(arrs) - 1, tuple(arrs))
 
 
 def add(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from trackscore import cli
 from trackscore.cli import main
 from trackscore.scoring import EmpiricalMeasure, bayes_act, left_loss, right_loss
 from trackscore.signature import (
@@ -410,4 +411,35 @@ def test_signatures_too_large_for_memory_is_data_error(tmp_path, pair_csv, comma
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs an estimated" in captured.err and "depth 40" in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 120. MiB"), "Unable to allocate 120. MiB"),
+    (MemoryError(), "MemoryError"),
+])
+def test_failed_allocation_is_data_error(tmp_path, pair_csv, monkeypatch, capsys, error, message):
+    # an allocation can still fail after the memory guards pass, for
+    # example under an address-space limit
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "signatures", fail)
+    out = tmp_path / "out.txt"
+    assert main(["sig", "--input", str(pair_csv), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"trackscore: error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mi", "--model", "spiral", "--rho", "0.5", "--horizon", "1", "--resolution", "0.6"],
+    ["experiment-warp", "--resolution", "0.3"],
+])
+def test_resolution_must_divide_horizon(tmp_path, argv, capsys):
+    # a grid of round(h / r) steps of r would end at 1.2 or 0.9, not at 1
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not divide horizon 1" in captured.err
     assert not list(tmp_path.glob("out*"))

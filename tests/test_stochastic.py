@@ -13,10 +13,8 @@ from trackscore.stochastic import (
     WarpedMixModel,
     brownian,
     power_warp,
+    _rng,
     power_warps,
-    sample_omega,
-    spiral_process,
-    warped_mix_process,
 )
 
 
@@ -27,6 +25,12 @@ def test_config_validation():
         SimConfig(resolution=2.0, horizon=1.0)
     with pytest.raises(ValueError):
         SimConfig(dim=0)
+    # the grid 0, r, ..., round(h / r) r must end on the horizon
+    for resolution in (0.6, 0.3, 0.15):
+        with pytest.raises(ValueError, match="does not divide"):
+            SimConfig(horizon=1.0, resolution=resolution)
+    for horizon, resolution in ((1.0, 0.1), (2.0, 0.05), (100.0, 0.5), (1.0, 1e-2)):
+        assert SimConfig(horizon=horizon, resolution=resolution).times[-1] == pytest.approx(horizon)
 
 
 def test_brownian_grid_and_determinism():
@@ -103,16 +107,17 @@ def test_power_warp_traces_same_polyline():
         assert on_segment
 
 
-def test_sample_omega_range_and_reproducibility():
-    vals = [sample_omega(k) for k in range(50)]
+def test_spiral_condition_range_and_reproducibility():
+    model = SpiralModel(0.5, SimConfig())
+    vals = [model.sample_condition(_rng(k)) for k in range(50)]
     assert all(0.0 <= v < OMEGA_MAX for v in vals)
-    assert sample_omega(7) == sample_omega(7)
+    assert model.sample_condition(_rng(7)) == model.sample_condition(_rng(7))
     assert max(vals) > OMEGA_MAX / 2  # actually spreads over the range
 
 
 def test_spiral_rho_zero_is_pure_noise():
     cfg = SimConfig(seed=4)
-    a = spiral_process(0.0, 5.0, cfg)
+    a = SpiralModel(0.0, cfg).sample_path(_rng(cfg.seed), 5.0)
     b = brownian(cfg)
     np.testing.assert_allclose(a.points, b.points)
 
@@ -120,49 +125,26 @@ def test_spiral_rho_zero_is_pure_noise():
 def test_spiral_rho_one_is_deterministic():
     cfg = SimConfig(seed=5)
     omega = 3.0
-    x = spiral_process(1.0, omega, cfg)
+    x = SpiralModel(1.0, cfg).sample_path(_rng(cfg.seed), omega)
     t = x.times
     det = np.column_stack([t * np.cos(omega * t), t * np.sin(omega * t)])
     np.testing.assert_allclose(x.points, det, atol=1e-12)
 
 
-def test_spiral_validation():
-    cfg = SimConfig(seed=6)
-    with pytest.raises(ValueError):
-        spiral_process(1.5, 1.0, cfg)
-    with pytest.raises(ValueError):
-        spiral_process(0.5, 1.0, SimConfig(dim=3))
-
-
 def test_spiral_marginal_second_moment():
     # E|Z_t|^2 = rho^2 t^2 + (1 - rho^2) 2t at t = 1
     rho, omega = 0.6, 2.0
-    vals = []
-    for seed in range(10_000):
-        cfg = SimConfig(seed=seed, horizon=1.0, resolution=0.5)
-        z = spiral_process(rho, omega, cfg)
-        vals.append(float(z.points[-1] @ z.points[-1]))
+    model = SpiralModel(rho, SimConfig(horizon=1.0, resolution=0.5))
+    z = model.sample_paths([_rng(seed) for seed in range(10_000)], [omega] * 10_000)[:, -1]
     target = rho**2 + (1 - rho**2) * 2.0
-    assert np.mean(vals) == pytest.approx(target, rel=0.10)
-
-
-def test_warped_mix_extremes_and_reproducibility():
-    cfg = SimConfig(seed=7)
-    x, z, p = warped_mix_process(1.0, cfg, p=1.0)
-    np.testing.assert_allclose(z.points, x.points)
-    x2, z2, p2 = warped_mix_process(1.0, cfg, p=1.0)
-    np.testing.assert_array_equal(z.points, z2.points)
-    x3, z3, p3 = warped_mix_process(0.3, cfg)
-    assert 1.0 <= p3 < 10.0
-    assert np.array_equal(x3.points, x.points)  # same base draw either way
-    with pytest.raises(ValueError):
-        warped_mix_process(-0.1, cfg)
+    assert np.mean(np.sum(z * z, axis=-1)) == pytest.approx(target, rel=0.10)
 
 
 def test_warped_mix_rho_zero_ignores_base():
-    cfg = SimConfig(seed=8)
-    _, z1, _ = warped_mix_process(0.0, cfg, p=2.0)
-    _, z2, _ = warped_mix_process(0.0, cfg, p=7.0)
+    model = WarpedMixModel(0.0, SimConfig())
+    bases = [model.sample_condition(_rng(8, k)) for k in range(2)]
+    assert not np.array_equal(bases[0].points, bases[1].points)
+    z1, z2 = (model.sample_path(_rng(8), base) for base in bases)
     np.testing.assert_allclose(z1.points, z2.points)
 
 

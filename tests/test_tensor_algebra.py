@@ -25,7 +25,6 @@ from trackscore.tensor_algebra import (
     rmul_adjoint,
     rmul_matrix,
     tensor_dim,
-    tensor_from_levels,
     to_text,
     unflatten,
     unit,
@@ -244,15 +243,18 @@ def test_text_roundtrip_and_errors():
         from_text("2,1\n1\n0.0 oops\n")
 
 
-def test_tensor_from_levels_validation():
-    t = tensor_from_levels([[1.0], [2.0, 3.0]])
-    assert t.width == 2 and t.depth == 1
-    with pytest.raises(ValueError):
-        tensor_from_levels([[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]])  # level 2 needs 4 entries
-    with pytest.raises(ValueError):
-        tensor_from_levels([])
-    with pytest.raises(ValueError):
-        tensor_from_levels([[1.0]])  # width not inferable from a scalar
+def test_truncated_tensor_validation():
+    levels = (np.ones(1), np.array([2.0, 3.0]), np.zeros(4))
+    t = TruncatedTensor(2, 2, levels)
+    assert t.width == 2 and t.depth == 2
+    with pytest.raises(ValueError, match="level 2"):
+        TruncatedTensor(2, 2, levels[:2] + (np.zeros(3),))
+    with pytest.raises(ValueError, match="expected 3 levels"):
+        TruncatedTensor(2, 2, levels[:2])
+    with pytest.raises(ValueError, match="width"):
+        TruncatedTensor(0, 0, levels[:1])
+    with pytest.raises(ValueError, match="depth"):
+        TruncatedTensor(2, -1, ())
 
 
 def test_operator_sugar():
