@@ -16,20 +16,10 @@ step.  :func:`soft_dtw` is the one-row case of :func:`soft_dtws`;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostMatrix", "cost_matrix", "dtw", "dtws", "soft_dtw", "soft_dtws"]
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise squared Euclidean costs between two point sequences."""
-
-    rows: int
-    cols: int
-    entries: np.ndarray
+__all__ = ["cost_matrix", "dtw", "dtws", "soft_dtw", "soft_dtws"]
 
 
 def _as_points(obj) -> np.ndarray:
@@ -50,7 +40,8 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def cost_matrix(x, y) -> CostMatrix:
+def cost_matrix(x, y) -> np.ndarray:
+    """Pairwise squared Euclidean costs ``(n, m)`` of two point sequences."""
     a, b = _as_points(x), _as_points(y)
     _check_dims(a, b)
     # coordinates summed one at a time, in the order the wavefront
@@ -59,7 +50,7 @@ def cost_matrix(x, y) -> CostMatrix:
         entries = np.square(a[:, None, 0] - b[None, :, 0])
         for k in range(1, a.shape[1]):
             entries += np.square(a[:, None, k] - b[None, :, k])
-    return CostMatrix(a.shape[0], b.shape[0], entries)
+    return entries
 
 
 def dtw(x, y) -> float:
@@ -70,14 +61,15 @@ def dtw(x, y) -> float:
     baseline.
     """
     c = cost_matrix(x, y)
+    n, m = c.shape
     inf = math.inf
-    prev = [0.0] + [inf] * c.cols
-    for i in range(c.rows):
+    prev = [0.0] + [inf] * m
+    for i in range(n):
         # one row of Python floats at a time: converting the whole matrix
         # up front made the time grow faster than n * m at n = 800
-        row = c.entries[i].tolist()
-        cur = [inf] * (c.cols + 1)
-        for j in range(1, c.cols + 1):
+        row = c[i].tolist()
+        cur = [inf] * (m + 1)
+        for j in range(1, m + 1):
             best = prev[j]
             if cur[j - 1] < best:
                 best = cur[j - 1]
@@ -85,7 +77,7 @@ def dtw(x, y) -> float:
                 best = prev[j - 1]
             cur[j] = row[j - 1] + best
         prev = cur
-    return prev[c.cols]
+    return prev[m]
 
 
 def dtws(xs, ys) -> np.ndarray:

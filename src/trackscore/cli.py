@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,8 +86,8 @@ def _checked(convert, ok, expected: str):
 _natural = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _at_least_two = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
-_positive_float = _checked(float, lambda v: v > 0, "a positive value")
-_at_least_one = _checked(float, lambda v: v >= 1.0, "a value of at least 1")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite positive value")
+_at_least_one = _checked(float, lambda v: 1.0 <= v < math.inf, "a finite value of at least 1")
 
 
 def _list_of(item, check=None):
@@ -252,7 +253,7 @@ def build_parser() -> _Parser:
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--n-u", type=_at_least_two, default=20)
     sim.add_argument("--n-x", type=_at_least_two, default=50)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_natural, default=0)
     sim.add_argument("--resolution", type=_positive_float, default=1e-2)
 
     p = sub.add_parser("sig", parents=[depth], help="signatures of CSV series")
@@ -293,7 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gammas", type=_list_of(float, sdtw_columns),
                    default=list(DEFAULT_GAMMAS))
     p.add_argument("--resolution", type=_positive_float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment_warp)
 

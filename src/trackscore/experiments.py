@@ -84,8 +84,8 @@ def run_warp_experiment(
     soft DTW family and hard DTW.  Returns ``(header, rows)`` with
     columns ``p, geometric_divergence, sdtw_gamma_<g>..., dtw``.
     """
-    if not p_max >= 1:
-        raise ValueError("p_max must be at least 1")
+    if not 1 <= p_max < math.inf:
+        raise ValueError("p_max must be finite and at least 1")
     if n_points < 2:
         raise ValueError("need at least two grid points")
     gammas = [float(g) for g in gammas]

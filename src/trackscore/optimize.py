@@ -9,7 +9,7 @@ keeps every iterate exactly group-like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class DescentConfig:
     step: float | None = None
     max_iters: int = 2000
     grad_tol: float = 1e-9
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.step is not None and not self.step > 0:
@@ -80,8 +79,8 @@ class DescentResult:
     """Terminal state of a descent run.
 
     ``status`` is one of ``converged``, ``budget_exhausted`` or
-    ``step_underflow``; ``trace`` rows are
-    ``(iteration, objective, grad_norm, step)``.
+    ``step_underflow``; ``trace`` rows are ``(iteration, objective,
+    grad_norm, step)``, one per gradient taken, at most ``max_iters + 1``.
     """
 
     minimizer: TruncatedTensor
@@ -92,7 +91,7 @@ class DescentResult:
     status: str
     step: float
     halvings: int
-    trace: list[tuple[int, float, float, float]] = field(default_factory=list)
+    trace: list[tuple[int, float, float, float]]
 
 
 def affine_descent(value, grad, start, cfg=None) -> DescentResult:
@@ -121,8 +120,7 @@ def affine_descent(value, grad, start, cfg=None) -> DescentResult:
     while True:
         g = drop_scalar(grad(u))
         gn = norm(g)
-        if cfg.record_trace:
-            trace.append((iterations, obj, gn, step))
+        trace.append((iterations, obj, gn, step))
         if gn <= cfg.grad_tol:
             status = "converged"
             best_u, best_obj = u, obj
@@ -207,8 +205,7 @@ def pansu_descent(f, start, cfg=None) -> DescentResult:
     while True:
         v = pansu_gradient(f, g)
         gn = float(np.linalg.norm(v))
-        if cfg.record_trace:
-            trace.append((iterations, obj, gn, step))
+        trace.append((iterations, obj, gn, step))
         if gn <= cfg.grad_tol:
             status = "converged"
             break

@@ -18,6 +18,10 @@ form: ``x* = Q^{-1} e_0 / (Q^{-1})_{00}``, with entropy
 ``1 / (Q^{-1})_{00} - 1``.  It is taken from one Cholesky factorisation
 per measure; a factorisation that fails, or a non-finite result, is
 reported as ``converged=False``.
+
+One batched reduction is behind every loss: :func:`loss_L` is its
+one-tensor case, and it gives the point divergences and the expected
+losses behind scores, entropies, divergences and mutual information.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .signature import PiecewiseLinearPath, _check_memory, _sign_block, signatur
 from .stochastic import _rng
 from .tensor_algebra import (
     TruncatedTensor,
+    _level_offsets,
     drop_scalar,
     flatten,
     inverse,
@@ -42,6 +47,7 @@ from .tensor_algebra import (
     mul_levels,
     norm,
     rmul_matrix,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+    split_levels,
     sub,
     tensor_dim,
     unflatten,
@@ -175,13 +181,19 @@ class MIEstimate:
     condition: float
 
 
+def _losses(levels) -> np.ndarray:
+    """:func:`loss_L` of each element of a level batch ``(..., d**m)``; each
+    degree is summed on its own axis, so a batch does not change the bits."""
+    return sum((np.sum(lev * lev, axis=-1) for lev in levels[1:]), np.zeros(levels[0].shape[:-1]))
+
+
 def loss_L(t: TruncatedTensor) -> float:
     """Sum of squared coefficients over degrees 1..depth.
 
     Invariant under the antipode, since index reversal permutes each
     degree and the sign cancels in the square.
     """
-    return float(sum(lev @ lev for lev in t.levels[1:]))
+    return float(_losses(t.levels))
 
 
 def _require_unital(m: TruncatedTensor) -> None:
@@ -224,7 +236,7 @@ def _gram_index(width: int, depth: int, side: str):
     of length m and each pair of act-word lengths ``j, k <= m`` add
     ``G[u_j, u_k]`` to ``Q[v_j, v_k]``.
     """
-    offs = np.cumsum([0] + [width**m for m in range(depth + 1)])
+    offs = _level_offsets(width, depth)
     q, g = [], []
     for m in range(depth + 1):
         words = np.arange(width**m)
@@ -244,12 +256,16 @@ def _gram_index(width: int, depth: int, side: str):
     return q, g
 
 
+def _width(levels) -> int:
+    # the width d of a level batch; any width serves at depth 0
+    return levels[1].shape[-1] if len(levels) > 1 else 1
+
+
 def _quad_forms(levels, weights: np.ndarray, side: str) -> np.ndarray:
     """``Q = sum_i w_i A_i^T A_i`` for each of G measures of n paths:
     ``levels[m]`` has shape ``(G, n, d**m)`` and ``weights`` ``(G, n)``.
     Gathered from each measure's weighted Gram matrix of signatures."""
-    depth = len(levels) - 1
-    q, g = _gram_index(levels[1].shape[-1] if depth else 1, depth, side)
+    q, g = _gram_index(_width(levels), len(levels) - 1, side)
     # sqrt(w_i) s_i stacked row-wise: B^T B = sum_i w_i s_i s_i^T
     stacked = np.concatenate(levels, axis=-1) * np.sqrt(weights)[..., None]
     n_measures, dim = stacked.shape[0], stacked.shape[-1]
@@ -264,11 +280,9 @@ def _expected_losses(levels, weights: np.ndarray, x: np.ndarray, side: str) -> n
     ``(..., D)``, over signature levels ``(..., n, d**m)``.  The products
     are summed directly, which keeps a value near zero accurate where
     ``x^T Q x - 1`` would cancel."""
-    offs = np.cumsum([0] + [lev.shape[-1] for lev in levels])
-    xl = [x[..., None, a:b] for a, b in zip(offs[:-1], offs[1:])]
+    xl = [lev[..., None, :] for lev in split_levels(x, _width(levels), len(levels) - 1)]
     prod = mul_levels(levels, xl) if side == RIGHT else mul_levels(xl, levels)
-    losses = sum(np.sum(lev * lev, axis=-1) for lev in prod[1:])
-    return np.sum(weights * losses, axis=-1)
+    return np.sum(weights * _losses(prod), axis=-1)
 
 
 def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem:
@@ -424,23 +438,13 @@ def divergence(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int
     return divergence_with_acts(nu, mu, side, depth)[0]
 
 
-def point_divergence(x, y, depth: int) -> float:
-    """Divergence between point masses: ``loss_L(Phi(x) Phi(y)^{-1})``.
-
-    ``x`` and ``y`` are paths, or their signatures at ``depth`` when
-    those are already at hand (a signature of another depth is a
-    ``ValueError``).  Vanishes exactly when the two paths trace the
-    same track.
+def point_divergence(x: PiecewiseLinearPath, y: PiecewiseLinearPath, depth: int) -> float:
+    """Divergence between the point masses at paths x and y:
+    ``loss_L(Phi(x) Phi(y)^{-1})``, the right score of x at the act
+    ``Phi(y)``.  Vanishes exactly when the two paths trace the same
+    track.  Signatures already at hand go to :func:`point_divergences`.
     """
-    sx, sy = (
-        p if isinstance(p, TruncatedTensor) else signature(p, depth) for p in (x, y)
-    )
-    if sx.depth != depth or sy.depth != depth:
-        raise ValueError(f"signatures must have depth {depth}, got {sx.depth} and {sy.depth}")
-    if sx.width != sy.width:
-        raise ValueError("paths must share one dimension")
-    rows = [[lev[None] for lev in s.levels] for s in (sx, sy)]
-    return float(point_divergences(*rows)[0])
+    return right_loss(x, signature(y, depth))
 
 
 def point_divergences(sx, sy) -> np.ndarray:
@@ -448,10 +452,7 @@ def point_divergences(sx, sy) -> np.ndarray:
     ``(rows, d**m)``; a one-row ``sx`` is taken against every row of
     ``sy``.  Each value equals :func:`loss_L` of that row's quotient
     ``Phi(x) Phi(y)^{-1}`` bit for bit."""
-    quotients = mul_levels(sx, inverse_levels(sy))
-    # loss_L per row: one dot product per degree, summed in its order
-    squares = ((lev[:, None, :] @ lev[:, :, None])[:, 0, 0] for lev in quotients[1:])
-    return sum(squares, np.zeros(len(quotients[0])))
+    return _losses(mul_levels(sx, inverse_levels(sy)))
 
 
 def expected_signature(mu: EmpiricalMeasure, depth: int) -> TruncatedTensor:

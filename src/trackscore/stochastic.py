@@ -52,11 +52,14 @@ class SimConfig:
     dim: int = 2
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if not 0 < self.resolution < self.horizon:
             raise ValueError("resolution must lie in (0, horizon)")
-        steps = round(self.horizon / self.resolution)
+        steps = self.horizon / self.resolution
+        if steps == math.inf:
+            raise ValueError(f"resolution {self.resolution:g} gives a non-finite step count")
+        steps = round(steps)
         if abs(steps * self.resolution - self.horizon) > 1e-9 * self.horizon:
             raise ValueError(
                 f"resolution {self.resolution:g} does not divide horizon {self.horizon:g}"

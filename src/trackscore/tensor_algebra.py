@@ -16,7 +16,8 @@ whose arrays carry leading batch axes: ``levels[m]`` has shape
 ``(..., width**m)``, and ``(rows, width**m)`` for ``inverse_levels``.
 They work elementwise along the batch axes, so an element's result does
 not depend on the batch it is computed in.  ``mul``, ``inverse`` and
-``exp_of_vector`` are thin wrappers over them.
+``exp_of_vector`` are thin wrappers over them.  ``split_levels`` cuts flat
+vectors ``(..., D)`` into a level batch, with ``unflatten`` its one-row case.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "tensor_dim",
     "flatten",
     "unflatten",
+    "split_levels",
     "to_text",
     "from_text",
 ]
@@ -351,14 +353,17 @@ def flatten(t: TruncatedTensor) -> np.ndarray:
     return np.concatenate(t.levels)
 
 
+def split_levels(vecs: np.ndarray, width: int, depth: int) -> list[np.ndarray]:
+    """Views ``(..., width**m)`` of the degree blocks of flat vectors ``(..., D)``."""
+    offs = _level_offsets(width, depth)
+    if vecs.shape[-1] != offs[-1]:
+        raise ValueError(f"expected vectors of length {offs[-1]}, got {vecs.shape[-1]}")
+    return [vecs[..., a:b] for a, b in zip(offs, offs[1:])]
+
+
 def unflatten(vec: np.ndarray, width: int, depth: int) -> TruncatedTensor:
     vec = np.asarray(vec, dtype=float).reshape(-1)
-    offs = _level_offsets(width, depth)
-    if vec.shape[0] != offs[-1]:
-        raise ValueError(
-            f"expected a vector of length {offs[-1]}, got {vec.shape[0]}"
-        )
-    levels = tuple(vec[offs[m] : offs[m + 1]].copy() for m in range(depth + 1))
+    levels = tuple(lev.copy() for lev in split_levels(vec, width, depth))
     return TruncatedTensor(width, depth, levels)
 
 

@@ -272,7 +272,7 @@ def test_criterion_6_pansu_machinery(capsys):
         res = pansu_descent(
             obj,
             unit(2, 4),
-            DescentConfig(max_iters=2000, grad_tol=1e-9, record_trace=True),
+            DescentConfig(max_iters=2000, grad_tol=1e-9),
         )
         objs = [row[1] for row in res.trace]
         checks.append(

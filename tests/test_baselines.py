@@ -15,8 +15,8 @@ def test_cost_matrix_squared_euclidean():
     x = np.array([[0.0, 0.0], [1.0, 0.0]])
     y = np.array([[0.0, 1.0], [3.0, 4.0]])
     c = cost_matrix(x, y)
-    assert c.rows == 2 and c.cols == 2
-    np.testing.assert_allclose(c.entries, [[1.0, 25.0], [2.0, 20.0]])
+    assert c.shape == (2, 2)
+    np.testing.assert_allclose(c, [[1.0, 25.0], [2.0, 20.0]])
     with pytest.raises(ValueError):
         cost_matrix(x, np.zeros((2, 3)))
 

@@ -196,6 +196,16 @@ def test_usage_errors_exit_one(capsys):
         ["experiment-warp", "--gammas", "nan", "--out", "x.csv"],
         # both print as the column sdtw_gamma_0.1
         ["experiment-warp", "--gammas", "0.1,0.1000001", "--out", "x.csv"],
+        # non-finite values, which would overflow the grid or the warps
+        ["mi", "--model", "spiral", "--rho", "0.5", "--horizon", "inf"],
+        ["mi", "--model", "spiral", "--rho", "0.5", "--resolution", "nan"],
+        ["experiment-warp", "--p-max", "inf", "--out", "x.csv"],
+        ["experiment-warp", "--resolution", "inf", "--out", "x.csv"],
+        # a seed is a natural number
+        ["mi", "--model", "spiral", "--rho", "0.5", "--seed", "-1"],
+        ["experiment-warp", "--seed", "-1", "--out", "x.csv"],
+        ["experiment-mi-scalar", "--seed", "-1", "--out", "x.csv"],
+        ["experiment-mi-warp", "--seed", "-1", "--out", "x.csv"],
     ):
         assert main(argv) == 1, argv
     capsys.readouterr()
@@ -266,17 +276,17 @@ def test_score_against_pair_measure(tmp_path, pair_csv, staircase_csv, capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path, staircase_csv, capsys):
-    out1 = tmp_path / "r1.csv"
-    out2 = tmp_path / "r2.csv"
-    for out in (out1, out2):
-        assert main(["entropy", "--input", str(staircase_csv),
-                     "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
-    m1 = json.loads((tmp_path / "r1.csv.manifest.json").read_text())
-    m2 = json.loads((tmp_path / "r2.csv.manifest.json").read_text())
-    m1.pop("timestamp"), m2.pop("timestamp")
-    assert m1 == m2
+    for argv in (["entropy", "--input", str(staircase_csv)], ["experiment-warp"]):
+        out1 = tmp_path / "r1.csv"
+        out2 = tmp_path / "r2.csv"
+        for out in (out1, out2):
+            assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
+        m1 = json.loads((tmp_path / "r1.csv.manifest.json").read_text())
+        m2 = json.loads((tmp_path / "r2.csv.manifest.json").read_text())
+        m1.pop("timestamp"), m2.pop("timestamp")
+        assert m1 == m2
 
 
 def test_mi_smoke(tmp_path, capsys):
@@ -442,4 +452,17 @@ def test_resolution_must_divide_horizon(tmp_path, argv, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "does not divide horizon 1" in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mi", "--model", "spiral", "--rho", "0.5", "--resolution", "1e-320"],
+    ["experiment-warp", "--resolution", "1e-320"],
+])
+def test_resolution_must_give_a_finite_step_count(tmp_path, argv, capsys):
+    # 1 / 1e-320 overflows to inf, which no grid of steps can count
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite step count" in captured.err
     assert not list(tmp_path.glob("out*"))

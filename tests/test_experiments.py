@@ -43,8 +43,9 @@ def test_warp_experiment_shape_and_first_row():
 
 
 def test_warp_experiment_validation():
-    with pytest.raises(ValueError):
-        run_warp_experiment(p_max=0.5)
+    for p_max in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="p_max"):
+            run_warp_experiment(p_max=p_max)
     with pytest.raises(ValueError):
         run_warp_experiment(n_points=1)
     for gammas in ((0.0,), (float("inf"),), (float("nan"),)):

@@ -51,7 +51,7 @@ def test_affine_descent_on_quadratic():
 def test_affine_descent_trace_and_csv():
     target = exp_of_vector([0.1], 2)
     obj = QuadraticObjective(target)
-    cfg = DescentConfig(step=0.2, max_iters=50, record_trace=True)
+    cfg = DescentConfig(step=0.2, max_iters=50)
     res = affine_descent(obj, obj.euclidean_gradient, unit(1, 2), cfg)
     assert len(res.trace) >= 2
     objs = [row[1] for row in res.trace]
@@ -102,7 +102,7 @@ def test_pansu_descent_reaches_exponential_target():
 def test_pansu_descent_trace_strictly_decreasing():
     target = exp_of_vector([0.4, 0.3], 3)
     obj = QuadraticObjective(target)
-    cfg = DescentConfig(max_iters=200, record_trace=True)
+    cfg = DescentConfig(max_iters=200)
     res = pansu_descent(obj, exp_of_vector([-1.0, 1.0], 3), cfg)
     objs = [row[1] for row in res.trace]
     assert all(b < a for a, b in zip(objs, objs[1:]))

@@ -29,6 +29,7 @@ from trackscore.signature import concat, make_path, reverse, signature, signatur
 from trackscore.tensor_algebra import (
     TruncatedTensor,
     antipode,
+    flatten,
     inverse,
     lmul_matrix,
     mul,
@@ -203,9 +204,6 @@ def test_point_divergence_frozen_value():
     assert point_divergence(x, y, 2) == pytest.approx(3.5, rel=1e-12)
     assert point_divergence(x, x, 2) == 0.0
     assert point_divergence(y, x, 2) == pytest.approx(3.5, rel=1e-12)
-    # signatures at another depth are refused, not read at their own
-    with pytest.raises(ValueError, match="depth"):
-        point_divergence(signature(x, 2), signature(y, 2), 4)
 
 
 def test_point_divergence_vanishes_on_reparametrization():
@@ -231,6 +229,24 @@ def test_point_divergences_equal_loss_of_each_quotient(width, depth):
         assert one[k] == loss_L(mul(tx[0], inverse(ty[k])))
         assert rowwise[k] == loss_L(mul(tx[k], inverse(ty[k])))
         assert point_divergence(xs[0], ys[k], depth) == one[k]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3, 4])
+def test_point_divergences_are_expected_losses_at_point_acts(width, depth):
+    # one reduction behind every loss: the point divergence of x from
+    # y_k is the right expected loss of the point mass at x, taken at
+    # the slice point Phi(y_k)^-1, to the bit
+    from trackscore.scoring import _expected_losses
+
+    rng = np.random.default_rng(40 + width * 10 + depth)
+    x = random_path(rng, n_segments=5, dim=width)
+    ys = [random_path(rng, n_segments=7, dim=width) for _ in range(8)]
+    sx, sy = signatures([x], depth), signatures(ys, depth)
+    rows = point_divergences(sx, sy)
+    for k, sig_y in enumerate(unstack(sy, width)):
+        slice_point = flatten(inverse(sig_y))
+        assert rows[k] == _expected_losses(sx, np.ones(1), slice_point, RIGHT)
 
 
 def test_linear_divergence_frozen_value():

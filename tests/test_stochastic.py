@@ -25,6 +25,11 @@ def test_config_validation():
         SimConfig(resolution=2.0, horizon=1.0)
     with pytest.raises(ValueError):
         SimConfig(dim=0)
+    for horizon in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            SimConfig(horizon=horizon)
+    with pytest.raises(ValueError, match="non-finite step count"):
+        SimConfig(horizon=1.0, resolution=1e-320)
     # the grid 0, r, ..., round(h / r) r must end on the horizon
     for resolution in (0.6, 0.3, 0.15):
         with pytest.raises(ValueError, match="does not divide"):
