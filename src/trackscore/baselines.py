@@ -6,20 +6,28 @@ Euclidean ground cost and no band constraint.  Inputs are paths or plain
 (n, d) arrays of finite points; time grids are ignored, only the visited
 points matter.
 
-Both recursions are batched: :func:`soft_dtws` and :func:`dtws` run
-many (x, y) rows at once, one anti-diagonal of the DP table per numpy
-step.  :func:`soft_dtw` is the one-row case of :func:`soft_dtws`;
-:func:`dtw` is a scalar loop over the full cost matrix, and
-:func:`dtws` is its batched twin, equal to it bit for bit.
+One anti-diagonal wavefront computes every batched value.  It runs many
+(x, y) rows at once, one diagonal of their DP tables per numpy step, and
+keeps its state rows last: points ``(d, n, rows)`` and the last two
+diagonals ``(n + 1, tables, rows)``, so each step works on one
+contiguous block.  A row carries any number of soft tables and one
+hard table, and each step forms the row's cost diagonal once for all of
+them.  :func:`dtw_family` is that pass in full: every pair at every
+gamma, plus hard DTW.  :func:`soft_dtws` (one gamma per row, its hard
+column dropped) and :func:`dtws` (no soft table) are its other two
+uses, and :func:`soft_dtw` is the one-row case of :func:`soft_dtws`.
+:func:`dtw` is a scalar loop over the full cost matrix; the hard tables
+equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-__all__ = ["cost_matrix", "dtw", "dtws", "soft_dtw", "soft_dtws"]
+__all__ = ["cost_matrix", "dtw", "dtw_family", "dtws", "soft_dtw", "soft_dtws"]
 
 
 def _as_points(obj) -> np.ndarray:
@@ -38,6 +46,12 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(
             f"sequences have different dimensions {a.shape[1]} and {b.shape[1]}"
         )
+
+
+def _positive(gammas: np.ndarray) -> np.ndarray:
+    if not (np.isfinite(gammas) & (gammas > 0)).all():
+        raise ValueError("gamma must be finite and positive")
+    return gammas
 
 
 def cost_matrix(x, y) -> np.ndarray:
@@ -80,14 +94,27 @@ def dtw(x, y) -> float:
     return prev[m]
 
 
-def dtws(xs, ys) -> np.ndarray:
-    """:func:`dtw` of each row ``(xs[k], ys[k])``, bit for bit.
+def dtw_family(xs, ys, gammas) -> np.ndarray:
+    """Soft DTW of each row ``(xs[k], ys[k])`` at every gamma, then hard
+    DTW: shape ``(len(xs), len(gammas) + 1)``.
 
-    The hard mode of the :func:`soft_dtws` wavefront: each cell is
-    ``cost + min(up, left, diag)``, so a cost that overflows gives inf
-    as it does in :func:`dtw`.
+    One wavefront pass per row feeds each cost diagonal to all
+    ``len(gammas) + 1`` tables.  Column j equals :func:`soft_dtw` at
+    ``gammas[j]`` and the last column equals :func:`dtw`, bit for bit.
+    Rows with the same ``(n, m, d)`` run together, and a row gives the
+    same bits alone as in any batch.
     """
-    return _batched(xs, ys, None)
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 1:
+        raise ValueError("gammas must be a flat sequence")
+    return _batched(xs, ys, _positive(gammas)[:, None])
+
+
+def dtws(xs, ys) -> np.ndarray:
+    """:func:`dtw` of each row ``(xs[k], ys[k])``, bit for bit: the hard
+    column of :func:`dtw_family` with no gammas.  A cost that overflows
+    gives inf, as it does in :func:`dtw`."""
+    return dtw_family(xs, ys, ())[:, 0]
 
 
 def soft_dtw(x, y, gamma: float) -> float:
@@ -104,7 +131,8 @@ def soft_dtws(xs, ys, gammas) -> np.ndarray:
     """:func:`soft_dtw` of each row ``(xs[k], ys[k], gammas[k])``.
 
     Rows with the same ``(n, m, d)`` run together over the ``n + m - 1``
-    anti-diagonals of their DP tables.  Each step forms only its own
+    anti-diagonals of their DP tables, one soft table per row next to
+    the hard one, whose column is dropped.  Each step forms only its own
     diagonal's costs and keeps the last two diagonals, so the working
     set is ``O(rows * (n + m) * d)``.  A row gives the same bits alone
     as in any batch.
@@ -112,13 +140,12 @@ def soft_dtws(xs, ys, gammas) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=float)
     if not len(xs) == len(ys) == gammas.size or gammas.ndim != 1:
         raise ValueError("need one gamma per (x, y) pair")
-    if not (np.isfinite(gammas) & (gammas > 0)).all():
-        raise ValueError("gamma must be finite and positive")
-    return _batched(xs, ys, gammas)
+    return _batched(xs, ys, _positive(gammas)[None])[:, 0]
 
 
-def _batched(xs, ys, gammas: np.ndarray | None) -> np.ndarray:
-    # rows with one (n, m, d) share a wavefront; gammas None is hard DTW
+def _batched(xs, ys, gammas: np.ndarray) -> np.ndarray:
+    # rows with one (n, m, d) share a wavefront; gammas is (G, 1), the
+    # same temperatures for every row, or (G, len(xs)), one column per row
     xs, ys = [_as_points(x) for x in xs], [_as_points(y) for y in ys]
     if len(xs) != len(ys):
         raise ValueError("need one y per x")
@@ -126,52 +153,91 @@ def _batched(xs, ys, gammas: np.ndarray | None) -> np.ndarray:
     for k, (a, b) in enumerate(zip(xs, ys)):
         _check_dims(a, b)
         groups.setdefault((*a.shape, b.shape[0]), []).append(k)
-    out = np.empty(len(xs))
+    out = np.empty((len(xs), gammas.shape[0] + 1))
     for idx in groups.values():
         out[idx] = _wavefront(
-            np.stack([xs[k].T for k in idx], axis=1),
-            np.stack([ys[k][::-1].T for k in idx], axis=1),
-            None if gammas is None else gammas[idx, None],
-        )
+            np.stack([xs[k].T for k in idx], axis=-1),
+            np.stack([ys[k][::-1].T for k in idx], axis=-1),
+            gammas if gammas.shape[1] == 1 else gammas[:, idx],
+        ).T
     return out
 
 
-def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
-    """Soft DTW of ``x`` against the reversed sequences ``y_rev`` at
-    temperatures ``gamma`` ``(r, 1)``, or hard DTW when ``gamma`` is
-    None; points are stacked coordinate first, ``(d, r, n)`` and
-    ``(d, r, m)``, so a diagonal's costs are sums of ``(r, L)`` slices.
+def _wavefront_bytes(rows: int, n: int, m: int, d: int, tables: int) -> int:
+    """Estimated bytes of one wavefront over ``rows`` pairs of ``n`` and
+    ``m`` points of width ``d`` with ``tables`` tables per pair: the
+    stacked points, two diagonals per table, and the filled-out gamma and
+    three temporaries of the longest diagonal."""
+    return 8 * rows * (d * (n + m) + tables * (2 * (n + 1) + 4 * min(n, m)))
 
-    Entry ``i`` of the diagonal ``s`` holds ``R[i, s - i]``; cells off
-    the table, and its zero row and column past ``R[0, 0]``, are inf.
+
+def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Soft DTW of ``x`` against the reversed sequences ``y_rev`` at the
+    temperatures ``gamma``, ``(G, 1)`` for every row or ``(G, rows)``,
+    then hard DTW: returns ``(G + 1, rows)``.
+
+    Points are stacked rows last, ``(d, n, rows)`` and ``(d, m, rows)``,
+    and so is each table's state: ``(2, n + 1, tables, rows)`` holds the
+    last diagonal of each parity of ``s``, and entry ``i`` of diagonal
+    ``s`` holds ``R[i, s - i]``.  A diagonal's cells are then one
+    contiguous block: numpy runs a call on it as one flat loop, where a
+    block with gaps or an operand broadcast into it goes through the
+    iterator's buffers.  That is why the soft and the hard tables keep
+    separate states, and why gamma is filled out to a whole diagonal; the
+    cost diagonal, formed once per step, is the one operand broadcast
+    across the tables.  Cells off the table, and its zero row and column
+    past ``R[0, 0]``, are inf.
     """
-    _, r, n = x.shape
-    m = y_rev.shape[2]
+    _, n, rows = x.shape
+    m = y_rev.shape[1]
     inf = math.inf
-    prev2 = np.full((r, n + 1), inf)
-    prev2[:, 0] = 0.0
-    prev1 = np.full((r, n + 1), inf)
+    # diagonal 0 is R[0, 0] = 0 and diagonal 1 is all inf
+    soft_state = np.full((2, n + 1, gamma.shape[0], rows), inf)
+    hard_state = np.full((2, n + 1, 1, rows), inf)
+    soft_state[0, 0] = hard_state[0, 0] = 0.0
+    gamma = np.broadcast_to(gamma, (min(n, m), *soft_state.shape[2:])).copy()
+    states = [(st, g) for st, g in ((soft_state, gamma), (hard_state, None)) if st.size]
     with np.errstate(over="ignore", divide="ignore"):
         for s in range(2, n + m + 1):
             lo, hi = max(1, s - m), min(n, s - 1)
             # cells (i, s - i) for i in [lo, hi]; y_rev[m - j] is y[j - 1]
             xi, yj = slice(lo - 1, hi), slice(m - s + lo, m - s + hi + 1)
-            cost = np.square(x[0, :, xi] - y_rev[0, :, yj])
+            cost = np.square(x[0, xi] - y_rev[0, yj])
             for xk, yk in zip(x[1:], y_rev[1:]):
-                cost += np.square(xk[:, xi] - yk[:, yj])
-            up, left, diag = prev1[:, lo - 1:hi], prev1[:, lo:hi + 1], prev2[:, lo - 1:hi]
-            low = np.minimum(np.minimum(up, left), diag)
-            if gamma is not None:
-                # costs that overflowed leave all three predecessors inf;
-                # the clamp keeps inf - inf out, so such a cell comes out inf
-                np.minimum(low, np.finfo(float).max, out=low)
-                total = (
-                    np.exp((low - up) / gamma)
-                    + np.exp((low - left) / gamma)
-                    + np.exp((low - diag) / gamma)
-                )
-                low = low - gamma * np.log(total)
-            cur = np.full((r, n + 1), inf)
-            cur[:, lo:hi + 1] = cost + low
-            prev2, prev1 = prev1, cur
-    return prev1[:, n]
+                cost += np.square(xk[xi] - yk[yj])
+            cost = cost[:, None]
+            for state, g in states:
+                # diagonal s overwrites s - 2 once it has been read
+                prev, cur = state[1 - s % 2], state[s % 2]
+                up, left, diag = prev[lo - 1:hi], prev[lo:hi + 1], cur[lo - 1:hi]
+                low = np.minimum(up, left)
+                np.minimum(low, diag, out=low)
+                if g is not None:
+                    _soft_min(low, up, left, diag, g[:hi - lo + 1])
+                np.add(cost, low, out=cur[lo:hi + 1])
+                # the next two steps read cells lo - 1 to hi + 1 of this
+                # diagonal; a cell hi + 1 <= n has never been written
+                cur[lo - 1] = inf
+    return np.concatenate([state[(n + m) % 2, n] for state, _ in states])
+
+
+def _soft_min(low, up, left, diag, gamma) -> None:
+    # low - gamma log(exp((low - up)/gamma) + exp((low - left)/gamma) +
+    # exp((low - diag)/gamma)) in place, where low is the hard min.
+    # Costs that overflowed leave all three predecessors inf; the clamp
+    # keeps inf - inf out, so such a cell comes out inf.
+    np.minimum(low, sys.float_info.max, out=low)
+    total = np.subtract(low, up)
+    total /= gamma
+    np.exp(total, out=total)
+    term = np.subtract(low, left)
+    term /= gamma
+    np.exp(term, out=term)
+    total += term
+    np.subtract(low, diag, out=term)
+    term /= gamma
+    np.exp(term, out=term)
+    total += term
+    np.log(total, out=total)
+    total *= gamma
+    low -= total

@@ -4,7 +4,9 @@ Three studies: the warp comparison (geometric divergence against DTW
 variants under increasing time distortion) and two mutual-information
 sweeps (spiral velocity, warped mixture).  Runners return header and
 rows; the CLI serializes them.  Identical arguments give byte-identical
-CSV.  The warp sweep takes each column from one batched kernel call.
+CSV.  The warp sweep takes its geometric column from one batched
+kernel call, and its soft and hard DTW columns from one
+``baselines.dtw_family`` pass.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import math
 
 import numpy as np
 
+from .baselines import _wavefront_bytes, dtw_family
 from .baselines import dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .baselines import dtws, soft_dtw, soft_dtws
+from .baselines import soft_dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import point_divergence  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergences
-from .signature import make_path, signatures
+from .signature import _check_memory, _signing_bytes, make_path, signatures
 from .stochastic import (
     SimConfig,
     SpiralModel,
@@ -50,7 +53,17 @@ def sdtw_divergence(x, y, gamma: float) -> float:
     and recovers plain DTW as gamma -> 0, which makes the gamma family
     directly comparable against the hard baseline.
     """
-    return soft_dtw(x, y, gamma) - 0.5 * (soft_dtw(x, x, gamma) + soft_dtw(y, y, gamma))
+    return float(_sdtw_divergences(x, [y], [gamma])[0][0, 0])
+
+
+def _sdtw_divergences(x, ys, gammas) -> tuple[np.ndarray, np.ndarray]:
+    """Debiased soft DTW of x against each of ys at every gamma,
+    ``(len(ys), len(gammas))``, and hard DTW ``(len(ys),)``, from one
+    :func:`dtw_family` call on (x, x), then (x, y) and (y, y) per y."""
+    pairs = [(x, x)] + [pair for y in ys for pair in ((x, y), (y, y))]
+    family = dtw_family([a for a, _ in pairs], [b for _, b in pairs], gammas)
+    soft = family[:, :-1]
+    return soft[1::2] - 0.5 * (soft[0] + soft[2::2]), family[1::2, -1]
 
 
 def sdtw_columns(gammas) -> list[str]:
@@ -91,6 +104,7 @@ def run_warp_experiment(
     gammas = [float(g) for g in gammas]
     header = ["p", "geometric_divergence", *sdtw_columns(gammas), "dtw"]
     cfg = SimConfig(seed=seed, horizon=HORIZON, resolution=resolution, dim=2)
+    _check_warp_size(cfg, n_points, len(gammas), depth)
     x = brownian(cfg)
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
     # the warps keep the time grid, so x and its warps are signed in
@@ -98,21 +112,24 @@ def run_warp_experiment(
     warps = [make_path(w, x.times) for w in power_warps(x.points, x.times, ps)]
     sigs = signatures([x, *warps], depth)
     geometric = point_divergences([lev[:1] for lev in sigs], [lev[1:] for lev in sigs])
-    # every soft value in one kernel call: (x, x), then (x, y) and (y, y)
-    # per warp, each at every gamma
-    pairs = [(x, x)] + [pair for y in warps for pair in ((x, y), (y, y))]
-    soft = soft_dtws(
-        [a for a, _ in pairs for _ in gammas],
-        [b for _, b in pairs for _ in gammas],
-        gammas * len(pairs),
-    ).reshape(len(pairs), len(gammas))
-    sdtw = soft[1::2] - 0.5 * (soft[0] + soft[2::2])
-    hard = dtws([x] * len(warps), warps)
+    sdtw, hard = _sdtw_divergences(x, warps, gammas)
     rows = [
         [p, g, *sdtw_y, h]
         for p, g, sdtw_y, h in zip(ps, geometric.tolist(), sdtw.tolist(), hard.tolist())
     ]
     return header, rows
+
+
+def _check_warp_size(cfg: SimConfig, n_points: int, n_gammas: int, depth: int) -> None:
+    """Refuses a sweep whose tracks, signatures and DTW wavefront would
+    not fit in physical memory, before anything is drawn."""
+    points, tracks = cfg.steps + 1, n_points + 1
+    _check_memory(
+        8 * tracks * points * cfg.dim
+        + tracks * _signing_bytes(cfg.steps, cfg.dim, depth)
+        + _wavefront_bytes(2 * n_points + 1, points, points, cfg.dim, n_gammas + 1),
+        f"a warp sweep of {tracks} tracks of {points} points at depth {depth}",
+    )
 
 
 def _mi_model(kind: str, rho: float, cfg: SimConfig):

@@ -138,9 +138,7 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
     d = paths[0].dim
     if any(p.dim != d for p in paths):
         raise ValueError("all paths must share one dimension")
-    # the output tensors, and the fold's accumulators: one per chunk
-    tensors = len(paths) + sum(_chunking(p.n_segments)[1] for p in paths)
-    need = 8 * tensors * tensor_dim(d, depth)
+    need = sum(_signing_bytes(p.n_segments, d, depth) for p in paths)
     _check_memory(need, f"signing {len(paths)} paths of width {d} at depth {depth}")
     out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
     by_length: dict[int, list[int]] = {}
@@ -168,6 +166,12 @@ def _check_memory(need: int, what: str) -> None:
             f"{what} needs an estimated {need:,} bytes, more than the "
             f"{have:,} bytes of physical memory"
         )
+
+
+def _signing_bytes(n_segments: int, d: int, depth: int) -> int:
+    """Estimated bytes of signing one path: its output tensor, and the
+    fold's accumulators, one per chunk."""
+    return 8 * (1 + _chunking(n_segments)[1]) * tensor_dim(d, depth)
 
 
 def _chunking(n_segments: int) -> tuple[int, int]:

@@ -56,11 +56,9 @@ class SimConfig:
             raise ValueError("horizon must be positive and finite")
         if not 0 < self.resolution < self.horizon:
             raise ValueError("resolution must lie in (0, horizon)")
-        steps = self.horizon / self.resolution
-        if steps == math.inf:
+        if self.horizon / self.resolution == math.inf:
             raise ValueError(f"resolution {self.resolution:g} gives a non-finite step count")
-        steps = round(steps)
-        if abs(steps * self.resolution - self.horizon) > 1e-9 * self.horizon:
+        if abs(self.steps * self.resolution - self.horizon) > 1e-9 * self.horizon:
             raise ValueError(
                 f"resolution {self.resolution:g} does not divide horizon {self.horizon:g}"
             )
@@ -68,10 +66,15 @@ class SimConfig:
             raise ValueError("dim must be at least 1")
 
     @property
+    def steps(self) -> int:
+        """The number of steps of the grid, ``horizon / resolution``,
+        known before any grid is built."""
+        return round(self.horizon / self.resolution)
+
+    @property
     def times(self) -> np.ndarray:
         """The uniform time grid ``0, resolution, ..., horizon``."""
-        n = int(round(self.horizon / self.resolution))
-        return np.arange(n + 1) * self.resolution
+        return np.arange(self.steps + 1) * self.resolution
 
 
 def _rng(seed, *stream) -> np.random.Generator:
@@ -85,7 +88,7 @@ def _brownian_points(rngs, cfg: SimConfig) -> np.ndarray:
     # and one cumulative sum over all rows adds them up in the order a
     # per-row sum would
     rngs = list(rngs)
-    n = cfg.times.shape[0] - 1
+    n = cfg.steps
     sd = math.sqrt(cfg.resolution)
     points = np.zeros((len(rngs), n + 1, cfg.dim))
     steps = points[:, 1:]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trackscore.baselines import cost_matrix, dtw, dtws, soft_dtw, soft_dtws
+from trackscore.baselines import cost_matrix, dtw, dtw_family, dtws, soft_dtw, soft_dtws
 
 from oracles import soft_dtw_loop
 
@@ -173,6 +173,82 @@ def test_soft_dtws_keeps_diagonals_not_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * inputs, peak / inputs
+
+
+FAMILY_GAMMAS = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+
+
+def _mixed_pairs(seed: int):
+    """Pairs of every shape class and widths 1 and 3, interleaved, and
+    last a pair whose costs overflow."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for n, m in ((1, 1), (1, 7), (6, 1), (5, 9), (9, 5), (8, 8)):
+        for d in (1, 3):
+            for _ in range(2):
+                xs.append(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3))
+                ys.append(rng.standard_normal((m, d)))
+    order = rng.permutation(len(xs))
+    xs, ys = [xs[k] for k in order], [ys[k] for k in order]
+    return xs + [np.array([[1e200], [0.0]])], ys + [np.array([[-1e200], [1e200]])]
+
+
+def test_dtw_family_matches_independent_routes():
+    # soft columns against the textbook recursion, the hard column
+    # against the scalar loop
+    xs, ys = _mixed_pairs(8)
+    got = dtw_family(xs, ys, FAMILY_GAMMAS)
+    assert got.shape == (len(xs), len(FAMILY_GAMMAS) + 1)
+    assert np.array_equal(got[:, -1], [dtw(x, y) for x, y in zip(xs, ys)])
+    for x, y, row in zip(xs[:-1], ys[:-1], got):
+        for g, v in zip(FAMILY_GAMMAS, row):
+            ref = soft_dtw_loop(x, y, g)
+            assert abs(v - ref) <= 1e-12 * (1.0 + abs(ref)), (x.shape, y.shape, g)
+    assert (got[-1] == math.inf).all()
+
+
+def test_dtw_family_row_alone_equals_row_in_batch():
+    xs, ys = _mixed_pairs(9)
+    got = dtw_family(xs, ys, FAMILY_GAMMAS)
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        assert np.array_equal(dtw_family([x], [y], FAMILY_GAMMAS)[0], got[k])
+    # the same bits as the two one-mode wrappers give
+    for j, g in enumerate(FAMILY_GAMMAS):
+        assert np.array_equal(got[:, j], soft_dtws(xs, ys, [g] * len(xs)))
+    assert np.array_equal(got[:, -1], dtws(xs, ys))
+
+
+def test_dtw_family_validation():
+    x = np.zeros((2, 1))
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            dtw_family([x], [x], [1.0, gamma])
+    with pytest.raises(ValueError, match="flat sequence"):
+        dtw_family([x], [x], [[1.0]])
+    with pytest.raises(ValueError, match="one y per x"):
+        dtw_family([x, x], [x], [1.0])
+    # no gammas leaves the hard column alone
+    assert dtw_family([x], [x + 1.0], []).tolist() == [[2.0]]
+
+
+def test_dtw_family_keeps_diagonals_not_tables():
+    # the warp sweep's call: 27 pairs of 101 x 101 points in the plane
+    # at 3 gammas.  A materialised (pairs, n, m) cost tensor alone would
+    # be about 25 times the stacked inputs, and the four whole DP tables
+    # of each pair about 100 times.  The pass holds the stacked points,
+    # two diagonals of each of the four tables (twice the inputs here),
+    # and one diagonal's gamma and soft-min temporaries for three tables.
+    rng = np.random.default_rng(10)
+    xs = [rng.standard_normal((101, 2)) for _ in range(27)]
+    ys = [rng.standard_normal((101, 2)) for _ in range(27)]
+    inputs = sum(a.nbytes + b.nbytes for a, b in zip(xs, ys))
+    tracemalloc.start()
+    try:
+        dtw_family(xs, ys, (1.0, 0.1, 0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * inputs, peak / inputs
 
 
 def test_empty_inputs_rejected():

@@ -455,6 +455,17 @@ def test_resolution_must_divide_horizon(tmp_path, argv, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_warp_grid_too_large_for_memory_is_data_error(tmp_path, capsys):
+    # 1e300 steps: refused from the step count, before any grid exists
+    out = tmp_path / "out.csv"
+    assert main(["experiment-warp", "--resolution", "1e-300", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a warp sweep of 14 tracks of" in captured.err
+    assert "needs an estimated" in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["mi", "--model", "spiral", "--rho", "0.5", "--resolution", "1e-320"],
     ["experiment-warp", "--resolution", "1e-320"],

@@ -1,9 +1,13 @@
 """Experiment drivers: grids, CSV shape and the debiased soft value."""
 
+import importlib
+import re
+
 import numpy as np
 import pytest
 
-from trackscore.baselines import dtw, soft_dtws
+from trackscore import experiments
+from trackscore.baselines import dtw, dtws, soft_dtws
 from trackscore.experiments import (
     format_csv,
     mi_point,
@@ -11,6 +15,10 @@ from trackscore.experiments import (
     run_warp_experiment,
     sdtw_divergence,
 )
+from trackscore.stochastic import SimConfig, brownian, power_warp
+
+# the module, whose name the package's signature() function shadows
+signature_module = importlib.import_module("trackscore.signature")
 
 
 def test_sdtw_divergence_properties():
@@ -135,3 +143,46 @@ def test_warp_soft_columns_match_per_row_sdtw_divergence():
         y = power_warp(x, row[0])
         for g in gammas:
             assert row[header.index(f"sdtw_gamma_{g:g}")] == sdtw_divergence(x, y, g)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 700])
+def test_warp_rows_equal_sweep_from_per_row_kernels(seed):
+    # the sweep's one dtw_family call against each soft value and hard
+    # DTW taken by its own one-row soft_dtws or dtws call
+    from trackscore.scoring import point_divergence
+
+    gammas = (1.0, 0.1, 0.01)
+    header, rows = run_warp_experiment(gammas=gammas, depth=3, seed=seed, n_points=5)
+    x = brownian(SimConfig(seed=seed, horizon=1.0, resolution=1e-2, dim=2))
+
+    def soft(a, b, g):
+        return soft_dtws([a], [b], [g])[0]
+
+    composed = []
+    for p in (row[0] for row in rows):
+        y = power_warp(x, p)
+        sdtw = [soft(x, y, g) - 0.5 * (soft(x, x, g) + soft(y, y, g)) for g in gammas]
+        composed.append([p, point_divergence(x, y, 3), *sdtw, dtws([x], [y])[0]])
+    assert np.array_equal(np.array(rows), np.array(composed))
+
+
+def test_warp_size_guard_refuses_before_any_draw(monkeypatch):
+    draws = []
+
+    def counted(cfg):
+        draws.append(cfg)
+        return brownian(cfg)
+
+    monkeypatch.setattr(experiments, "brownian", counted)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: 1)
+    with pytest.raises(ValueError, match="a warp sweep of 5 tracks of 21 points") as refused:
+        run_warp_experiment(gammas=(1.0,), depth=2, resolution=0.05, n_points=4)
+    assert draws == []
+    # the bound is the estimate itself
+    need = int(re.search(r"needs an estimated ([\d,]+) bytes", str(refused.value))[1].replace(",", ""))
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="needs an estimated"):
+        run_warp_experiment(gammas=(1.0,), depth=2, resolution=0.05, n_points=4)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
+    _, rows = run_warp_experiment(gammas=(1.0,), depth=2, resolution=0.05, n_points=4)
+    assert len(rows) == 4 and len(draws) == 1

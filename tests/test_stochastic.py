@@ -35,7 +35,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="does not divide"):
             SimConfig(horizon=1.0, resolution=resolution)
     for horizon, resolution in ((1.0, 0.1), (2.0, 0.05), (100.0, 0.5), (1.0, 1e-2)):
-        assert SimConfig(horizon=horizon, resolution=resolution).times[-1] == pytest.approx(horizon)
+        cfg = SimConfig(horizon=horizon, resolution=resolution)
+        assert cfg.times[-1] == pytest.approx(horizon)
+        assert cfg.times.shape == (cfg.steps + 1,)
+    # the step count comes from the two floats alone, so a grid too large
+    # to build can still be counted and refused
+    assert SimConfig(horizon=1.0, resolution=1e-300).steps > 10**299
 
 
 def test_brownian_grid_and_determinism():
