@@ -9,7 +9,7 @@ parametrized in time.
 
 __version__ = "0.1.0"
 
-from .baselines import cost_matrix, dtw, dtw_family, dtws, soft_dtw, soft_dtws
+from .baselines import cost_matrix, dtw, dtw_family, soft_dtw
 from .optimize import (
     DescentConfig,
     DescentResult,

@@ -6,18 +6,16 @@ Euclidean ground cost and no band constraint.  Inputs are paths or plain
 (n, d) arrays of finite points; time grids are ignored, only the visited
 points matter.
 
-One anti-diagonal wavefront computes every batched value.  It runs many
-(x, y) rows at once, one diagonal of their DP tables per numpy step, and
-keeps its state rows last: points ``(d, n, rows)`` and the last two
-diagonals ``(n + 1, tables, rows)``, so each step works on one
-contiguous block.  A row carries any number of soft tables and one
-hard table, and each step forms the row's cost diagonal once for all of
-them.  :func:`dtw_family` is that pass in full: every pair at every
-gamma, plus hard DTW.  :func:`soft_dtws` (one gamma per row, its hard
-column dropped) and :func:`dtws` (no soft table) are its other two
-uses, and :func:`soft_dtw` is the one-row case of :func:`soft_dtws`.
-:func:`dtw` is a scalar loop over the full cost matrix; the hard tables
-equal it bit for bit.
+One anti-diagonal wavefront computes every value but the scalar
+:func:`dtw`.  It runs many (x, y) pairs at once, one diagonal of their
+DP tables per numpy step, and keeps its state rows last: points
+``(d, n, rows)`` and the last two diagonals ``(n + 1, tables, rows)``,
+so each step works on one contiguous block.  A pair carries one soft
+table per gamma and one hard table, and each step forms the pair's cost
+diagonal once for all of them.  :func:`dtw_family` is the one batched
+entry point: every pair at every gamma, plus hard DTW.  :func:`soft_dtw`
+is its one-pair, one-gamma case.  :func:`dtw` is a scalar loop over the
+full cost matrix; the hard tables equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["cost_matrix", "dtw", "dtw_family", "dtws", "soft_dtw", "soft_dtws"]
+__all__ = ["cost_matrix", "dtw", "dtw_family", "soft_dtw"]
 
 
 def _as_points(obj) -> np.ndarray:
@@ -48,18 +46,12 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def _positive(gammas: np.ndarray) -> np.ndarray:
-    if not (np.isfinite(gammas) & (gammas > 0)).all():
-        raise ValueError("gamma must be finite and positive")
-    return gammas
-
-
 def cost_matrix(x, y) -> np.ndarray:
     """Pairwise squared Euclidean costs ``(n, m)`` of two point sequences."""
     a, b = _as_points(x), _as_points(y)
     _check_dims(a, b)
     # coordinates summed one at a time, in the order the wavefront
-    # kernel sums them, so that dtw and dtws agree bit for bit
+    # kernel sums them, so that dtw and the hard tables agree bit for bit
     with np.errstate(over="ignore"):
         entries = np.square(a[:, None, 0] - b[None, :, 0])
         for k in range(1, a.shape[1]):
@@ -95,26 +87,37 @@ def dtw(x, y) -> float:
 
 
 def dtw_family(xs, ys, gammas) -> np.ndarray:
-    """Soft DTW of each row ``(xs[k], ys[k])`` at every gamma, then hard
+    """Soft DTW of each pair ``(xs[k], ys[k])`` at every gamma, then hard
     DTW: shape ``(len(xs), len(gammas) + 1)``.
 
-    One wavefront pass per row feeds each cost diagonal to all
+    One wavefront pass per pair feeds each cost diagonal to all
     ``len(gammas) + 1`` tables.  Column j equals :func:`soft_dtw` at
-    ``gammas[j]`` and the last column equals :func:`dtw`, bit for bit.
-    Rows with the same ``(n, m, d)`` run together, and a row gives the
-    same bits alone as in any batch.
+    ``gammas[j]`` and the last column equals :func:`dtw`, bit for bit; a
+    cost that overflows gives inf, as it does in :func:`dtw`.  Pairs
+    with the same ``(n, m, d)`` run together over the ``n + m - 1``
+    anti-diagonals of their tables, and a pair gives the same bits alone
+    as in any batch.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1:
         raise ValueError("gammas must be a flat sequence")
-    return _batched(xs, ys, _positive(gammas)[:, None])
-
-
-def dtws(xs, ys) -> np.ndarray:
-    """:func:`dtw` of each row ``(xs[k], ys[k])``, bit for bit: the hard
-    column of :func:`dtw_family` with no gammas.  A cost that overflows
-    gives inf, as it does in :func:`dtw`."""
-    return dtw_family(xs, ys, ())[:, 0]
+    if not (np.isfinite(gammas) & (gammas > 0)).all():
+        raise ValueError("gamma must be finite and positive")
+    xs, ys = [_as_points(x) for x in xs], [_as_points(y) for y in ys]
+    if len(xs) != len(ys):
+        raise ValueError("need one y per x")
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k, (a, b) in enumerate(zip(xs, ys)):
+        _check_dims(a, b)
+        groups.setdefault((*a.shape, b.shape[0]), []).append(k)
+    out = np.empty((len(xs), gammas.size + 1))
+    for idx in groups.values():
+        out[idx] = _wavefront(
+            np.stack([xs[k].T for k in idx], axis=-1),
+            np.stack([ys[k][::-1].T for k in idx], axis=-1),
+            gammas[:, None],
+        ).T
+    return out
 
 
 def soft_dtw(x, y, gamma: float) -> float:
@@ -124,43 +127,7 @@ def soft_dtw(x, y, gamma: float) -> float:
     lies below the hard min, the value can be negative; in particular
     ``soft_dtw(x, x, gamma) <= 0``.
     """
-    return float(soft_dtws([x], [y], [gamma])[0])
-
-
-def soft_dtws(xs, ys, gammas) -> np.ndarray:
-    """:func:`soft_dtw` of each row ``(xs[k], ys[k], gammas[k])``.
-
-    Rows with the same ``(n, m, d)`` run together over the ``n + m - 1``
-    anti-diagonals of their DP tables, one soft table per row next to
-    the hard one, whose column is dropped.  Each step forms only its own
-    diagonal's costs and keeps the last two diagonals, so the working
-    set is ``O(rows * (n + m) * d)``.  A row gives the same bits alone
-    as in any batch.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    if not len(xs) == len(ys) == gammas.size or gammas.ndim != 1:
-        raise ValueError("need one gamma per (x, y) pair")
-    return _batched(xs, ys, _positive(gammas)[None])[:, 0]
-
-
-def _batched(xs, ys, gammas: np.ndarray) -> np.ndarray:
-    # rows with one (n, m, d) share a wavefront; gammas is (G, 1), the
-    # same temperatures for every row, or (G, len(xs)), one column per row
-    xs, ys = [_as_points(x) for x in xs], [_as_points(y) for y in ys]
-    if len(xs) != len(ys):
-        raise ValueError("need one y per x")
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for k, (a, b) in enumerate(zip(xs, ys)):
-        _check_dims(a, b)
-        groups.setdefault((*a.shape, b.shape[0]), []).append(k)
-    out = np.empty((len(xs), gammas.shape[0] + 1))
-    for idx in groups.values():
-        out[idx] = _wavefront(
-            np.stack([xs[k].T for k in idx], axis=-1),
-            np.stack([ys[k][::-1].T for k in idx], axis=-1),
-            gammas if gammas.shape[1] == 1 else gammas[:, idx],
-        ).T
-    return out
+    return float(dtw_family([x], [y], [gamma])[0, 0])
 
 
 def _wavefront_bytes(rows: int, n: int, m: int, d: int, tables: int) -> int:
@@ -173,8 +140,8 @@ def _wavefront_bytes(rows: int, n: int, m: int, d: int, tables: int) -> int:
 
 def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Soft DTW of ``x`` against the reversed sequences ``y_rev`` at the
-    temperatures ``gamma``, ``(G, 1)`` for every row or ``(G, rows)``,
-    then hard DTW: returns ``(G + 1, rows)``.
+    temperatures ``gamma``, ``(G, 1)`` and the same for every row, then
+    hard DTW: returns ``(G + 1, rows)``.
 
     Points are stacked rows last, ``(d, n, rows)`` and ``(d, m, rows)``,
     and so is each table's state: ``(2, n + 1, tables, rows)`` holds the

@@ -491,9 +491,10 @@ def mutual_information(
 ) -> MIEstimate:
     """Resampling estimate of the information between track and condition.
 
-    The model must expose ``sample_condition(rng)`` and
-    ``sample_paths(rngs, conditions)``, which returns one track per
-    generator and condition as an ``(n, T + 1, d)`` point array.  The
+    The model must expose ``cfg``, a ``stochastic.SimConfig``;
+    ``sample_condition(rng)``; and ``sample_paths(rngs, conditions)``,
+    which returns one track per generator and condition as an
+    ``(n, cfg.steps + 1, cfg.dim)`` point array.  The
     estimate is the unconditional entropy of ``n_x`` fresh draws
     (condition marginalized out) minus the mean entropy of ``n_u``
     conditional families of ``n_x`` draws each.  Matching the sample
@@ -506,24 +507,24 @@ def mutual_information(
     call and signed from that point array in one batch, and the
     ``n_u + 1`` acts are solved together.  A request whose estimated
     memory exceeds the machine's physical memory raises ``ValueError``
-    before anything that large is allocated.
+    before anything is drawn; tracks whose shape disagrees with ``cfg``
+    raise it once drawn.
     """
     _check_side(side)
     if n_u < 2 or n_x < 2:
         raise ValueError("need at least two conditions and two paths each")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    u0 = model.sample_condition(_rng(seed, 1, 0))
-    # a throwaway track of the first conditional family gives the shape
-    _, points, width = model.sample_paths([_rng(seed, 2, 0, 0)], [u0]).shape
-    _check_size(n_u, n_x, points, width, depth)
+    shape = (model.cfg.steps + 1, model.cfg.dim)
+    _check_size(n_u, n_x, *shape, depth)
     rngs = [_rng(seed, 0, j) for j in range(n_x)]
     conditions = [model.sample_condition(rng) for rng in rngs]
     for k in range(n_u):
-        u = model.sample_condition(_rng(seed, 1, k)) if k else u0
-        conditions.extend([u] * n_x)
+        conditions.extend([model.sample_condition(_rng(seed, 1, k))] * n_x)
         rngs.extend(_rng(seed, 2, k, j) for j in range(n_x))
     tracks = model.sample_paths(rngs, conditions)
+    if tracks.shape[1:] != shape:
+        raise ValueError(f"tracks of shape {tracks.shape[1:]} disagree with cfg's {shape}")
     if not np.isfinite(tracks).all():
         raise ValueError("simulated tracks must be finite")
     levels = [lev.reshape(n_u + 1, n_x, -1) for lev in _sign_block(tracks, depth)]

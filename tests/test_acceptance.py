@@ -54,12 +54,12 @@ from trackscore.tensor_algebra import (
 from oracles import iterated_integrals
 
 
-def _report(capsys, k, label, checks):
+def _report(capsys, k, label, checks, measured=""):
     failed = sorted({name for name, ok in checks if not ok})
     verdict = "PASS" if not failed else "FAIL"
     with capsys.disabled():
         print(f"criterion {k} ({label}): {verdict}")
-    assert not failed, f"criterion {k} ({label}) failed checks: {failed}"
+    assert not failed, f"criterion {k} ({label}) failed checks: {failed} {measured}"
 
 
 def _rel_ok(actual, reference, tol):
@@ -388,4 +388,5 @@ def test_criterion_9_complexity(capsys):
         ("dtw_quadruples_0.7", dtw_ratio >= 4.0 * 0.7),
         ("dtw_quadruples_1.3", dtw_ratio <= 4.0 * 1.3),
     ]
-    _report(capsys, 9, "complexity scaling", checks)
+    measured = f"(sig_ratio={sig_ratio:.3f}, dtw_ratio={dtw_ratio:.3f})"
+    _report(capsys, 9, "complexity scaling", checks, measured)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trackscore.baselines import cost_matrix, dtw, dtw_family, dtws, soft_dtw, soft_dtws
+from trackscore.baselines import cost_matrix, dtw, dtw_family, soft_dtw
 
 from oracles import soft_dtw_loop
 
@@ -81,10 +81,6 @@ def test_soft_dtw_rejects_bad_gamma():
     for gamma in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             soft_dtw(x, x, gamma)
-        with pytest.raises(ValueError):
-            soft_dtws([x, x], [x, x], [1.0, gamma])
-    with pytest.raises(ValueError, match="one gamma per"):
-        soft_dtws([x, x], [x, x], [1.0])
 
 
 def test_non_finite_points_rejected():
@@ -99,37 +95,7 @@ def test_non_finite_points_rejected():
                 call(y, x)
 
 
-def _mixed_batch(seed: int):
-    """Rows of every shape class, widths 1 and 3, and gammas from 1e-3
-    to 10, interleaved in one batch."""
-    rng = np.random.default_rng(seed)
-    gammas = (1e-3, 1e-2, 0.1, 1.0, 10.0)
-    xs, ys, gs = [], [], []
-    for n, m in ((1, 1), (1, 7), (6, 1), (5, 9), (9, 5), (8, 8)):
-        for d in (1, 3):
-            for g in gammas:
-                xs.append(rng.standard_normal((n, d)))
-                ys.append(rng.standard_normal((m, d)))
-                gs.append(g)
-    order = rng.permutation(len(gs))
-    return [xs[k] for k in order], [ys[k] for k in order], [gs[k] for k in order]
-
-
-def test_soft_dtws_matches_scalar_recursion():
-    xs, ys, gs = _mixed_batch(4)
-    got = soft_dtws(xs, ys, gs)
-    for x, y, g, v in zip(xs, ys, gs, got):
-        ref = soft_dtw_loop(x, y, g)
-        assert abs(v - ref) <= 1e-12 * (1.0 + abs(ref)), (x.shape, y.shape, g)
-
-
-def test_soft_dtws_row_alone_equals_row_in_batch():
-    xs, ys, gs = _mixed_batch(5)
-    got = soft_dtws(xs, ys, gs)
-    assert [soft_dtw(x, y, g) for x, y, g in zip(xs, ys, gs)] == got.tolist()
-
-
-def test_dtws_equals_dtw_bit_for_bit():
+def test_dtw_family_hard_column_equals_dtw_bit_for_bit():
     # mixed lengths, length one included, at widths 1 to 3, plus a pair
     # whose costs overflow
     rng = np.random.default_rng(7)
@@ -143,7 +109,7 @@ def test_dtws_equals_dtw_bit_for_bit():
     ys.append(np.array([[-1e200], [1e200]]))
     order = rng.permutation(len(xs))
     xs, ys = [xs[k] for k in order], [ys[k] for k in order]
-    got = dtws(xs, ys)
+    got = dtw_family(xs, ys, [])[:, 0]
     assert np.array_equal(got, [dtw(x, y) for x, y in zip(xs, ys)])
     assert got[np.argmax(order)] == math.inf
 
@@ -157,18 +123,17 @@ def test_soft_dtw_overflowing_costs_give_inf():
     assert soft_dtw(x, y, 1.0) == math.inf
 
 
-def test_soft_dtws_keeps_diagonals_not_tables():
-    # the warp sweep's batch: 81 rows of 101 x 101 points in the plane;
-    # a materialised (rows, n, m) cost tensor alone would be about 25
+def test_dtw_family_one_gamma_keeps_diagonals_not_tables():
+    # 81 pairs of 101 x 101 points in the plane at one gamma; a
+    # materialised (pairs, n, m) cost tensor alone would be about 25
     # times the stacked inputs
     rng = np.random.default_rng(6)
     xs = [rng.standard_normal((101, 2)) for _ in range(81)]
     ys = [rng.standard_normal((101, 2)) for _ in range(81)]
-    gs = [(1.0, 0.1, 0.01)[k % 3] for k in range(81)]
     inputs = sum(a.nbytes + b.nbytes for a, b in zip(xs, ys))
     tracemalloc.start()
     try:
-        soft_dtws(xs, ys, gs)
+        dtw_family(xs, ys, [0.1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -212,10 +177,9 @@ def test_dtw_family_row_alone_equals_row_in_batch():
     got = dtw_family(xs, ys, FAMILY_GAMMAS)
     for k, (x, y) in enumerate(zip(xs, ys)):
         assert np.array_equal(dtw_family([x], [y], FAMILY_GAMMAS)[0], got[k])
-    # the same bits as the two one-mode wrappers give
-    for j, g in enumerate(FAMILY_GAMMAS):
-        assert np.array_equal(got[:, j], soft_dtws(xs, ys, [g] * len(xs)))
-    assert np.array_equal(got[:, -1], dtws(xs, ys))
+        # a gamma's column does not depend on the other gammas in the call
+        assert got[k, :-1].tolist() == [soft_dtw(x, y, g) for g in FAMILY_GAMMAS], k
+    assert np.array_equal(got[:, -1], [dtw(x, y) for x, y in zip(xs, ys)])
 
 
 def test_dtw_family_validation():

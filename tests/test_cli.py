@@ -466,6 +466,19 @@ def test_warp_grid_too_large_for_memory_is_data_error(tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_mi_grid_too_large_for_memory_is_data_error(tmp_path, capsys):
+    # 1e300 steps: refused from the model's cfg, before any draw or grid
+    out = tmp_path / "out.csv"
+    argv = ["mi", "--model", "spiral", "--rho", "0.5", "--resolution", "1e-300",
+            "--n-u", "2", "--n-x", "2", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mutual information with n_u=2, n_x=2" in captured.err
+    assert "needs an estimated" in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["mi", "--model", "spiral", "--rho", "0.5", "--resolution", "1e-320"],
     ["experiment-warp", "--resolution", "1e-320"],

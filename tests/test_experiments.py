@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trackscore import experiments
-from trackscore.baselines import dtw, dtws, soft_dtws
+from trackscore.baselines import dtw, dtw_family
 from trackscore.experiments import (
     format_csv,
     mi_point,
@@ -28,7 +28,7 @@ def test_sdtw_divergence_properties():
     assert sdtw_divergence(x, x, 1.0) == 0.0
     assert sdtw_divergence(x, y, 1.0) >= 0.0
     # the three soft values of one kernel call, combined
-    s_xy, s_xx, s_yy = soft_dtws([x, x, y], [y, x, y], [0.5] * 3)
+    s_xy, s_xx, s_yy = dtw_family([x, x, y], [y, x, y], [0.5])[:, 0]
     assert sdtw_divergence(x, y, 0.5) == s_xy - 0.5 * (s_xx + s_yy)
     # gamma -> 0 recovers the hard distance
     assert sdtw_divergence(x, y, 1e-4) == pytest.approx(dtw(x, y), abs=1e-2)
@@ -148,7 +148,7 @@ def test_warp_soft_columns_match_per_row_sdtw_divergence():
 @pytest.mark.parametrize("seed", [0, 5, 700])
 def test_warp_rows_equal_sweep_from_per_row_kernels(seed):
     # the sweep's one dtw_family call against each soft value and hard
-    # DTW taken by its own one-row soft_dtws or dtws call
+    # DTW taken by its own one-pair, one-gamma dtw_family call
     from trackscore.scoring import point_divergence
 
     gammas = (1.0, 0.1, 0.01)
@@ -156,13 +156,13 @@ def test_warp_rows_equal_sweep_from_per_row_kernels(seed):
     x = brownian(SimConfig(seed=seed, horizon=1.0, resolution=1e-2, dim=2))
 
     def soft(a, b, g):
-        return soft_dtws([a], [b], [g])[0]
+        return dtw_family([a], [b], [g])[0, 0]
 
     composed = []
     for p in (row[0] for row in rows):
         y = power_warp(x, p)
         sdtw = [soft(x, y, g) - 0.5 * (soft(x, x, g) + soft(y, y, g)) for g in gammas]
-        composed.append([p, point_divergence(x, y, 3), *sdtw, dtws([x], [y])[0]])
+        composed.append([p, point_divergence(x, y, 3), *sdtw, dtw_family([x], [y], [])[0, 0]])
     assert np.array_equal(np.array(rows), np.array(composed))
 
 

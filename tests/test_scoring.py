@@ -26,6 +26,7 @@ from trackscore.scoring import (
     score,
 )
 from trackscore.signature import concat, make_path, reverse, signature, signatures
+from trackscore.stochastic import SimConfig
 from trackscore.tensor_algebra import (
     TruncatedTensor,
     antipode,
@@ -323,6 +324,9 @@ def test_mismatched_dimensions_rejected():
 class _ShiftModel:
     """Toy conditional model: condition shifts the path drift."""
 
+    # tracks of 5 points of width 2
+    cfg = SimConfig(horizon=4.0, resolution=1.0)
+
     def __init__(self, strength):
         self.strength = strength
 
@@ -455,9 +459,8 @@ def test_mutual_information_builds_no_path_per_draw(monkeypatch, kind, most):
 
 
 def test_mutual_information_size_guard(monkeypatch):
-    # refused before the draws: the model makes the probe's condition
-    # and track, and nothing more.  _ShiftModel tracks have 5 points of
-    # width 2; depth 2 has D = 7.
+    # refused from the model's cfg before any draw.  _ShiftModel tracks
+    # have 5 points of width 2; depth 2 has D = 7.
 
     class Probed(_ShiftModel):
         def __init__(self, strength):
@@ -466,19 +469,14 @@ def test_mutual_information_size_guard(monkeypatch):
 
         def sample_condition(self, rng):
             self.calls.append("condition")
-            assert len(self.calls) == 1, "drew past the probe"
-            return super().sample_condition(rng)
-
-        def sample_paths(self, rngs, conditions):
-            self.calls.append(len(rngs))
-            return super().sample_paths(rngs, conditions)
+            raise AssertionError("drew before the guard")
 
     n_u = 10**12
     need = 8 * (2 * (n_u + 1) * (5 * 2 + 7) + 2 * (n_u + 1) * 7 * 7)
     model = Probed(0.5)
     with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
         mutual_information(model, n_u, 2, RIGHT, 2)
-    assert model.calls == ["condition", 1]
+    assert model.calls == []
     # the bound is the estimate itself
     need = 8 * (2 * 3 * (5 * 2 + 7) + 2 * 3 * 7 * 7)
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
@@ -533,6 +531,14 @@ def test_draw_streams_and_shared_gram_index():
     q, g = _gram_index(2, 3, RIGHT)
     assert _gram_index(2, 3, RIGHT)[0] is q
     assert not q.flags.writeable and not g.flags.writeable
+
+
+def test_mutual_information_refuses_tracks_that_disagree_with_cfg():
+    class Longer(_ShiftModel):
+        cfg = SimConfig(horizon=5.0, resolution=1.0)
+
+    with pytest.raises(ValueError, match=r"tracks of shape \(5, 2\) disagree with cfg's \(6, 2\)"):
+        mutual_information(Longer(0.5), 2, 3, RIGHT, 2)
 
 
 def test_mutual_information_rejects_non_finite_tracks():
