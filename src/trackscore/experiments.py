@@ -20,7 +20,7 @@ from .baselines import dtw  # noqa: F401  (wrapped by name in perfbench/tracing.
 from .baselines import soft_dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import point_divergence  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergences
-from .signature import _check_memory, _signing_bytes, make_path, signatures
+from .signature import _check_memory, _count, _signing_bytes, make_path, signatures
 from .stochastic import (
     SimConfig,
     SpiralModel,
@@ -128,7 +128,7 @@ def _check_warp_size(cfg: SimConfig, n_points: int, n_gammas: int, depth: int) -
         8 * tracks * points * cfg.dim
         + tracks * _signing_bytes(cfg.steps, cfg.dim, depth)
         + _wavefront_bytes(2 * n_points + 1, points, points, cfg.dim, n_gammas + 1),
-        f"a warp sweep of {tracks} tracks of {points} points at depth {depth}",
+        f"a warp sweep of {_count(tracks)} tracks of {_count(points)} points at depth {depth}",
     )
 
 

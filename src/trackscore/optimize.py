@@ -23,7 +23,6 @@ from .tensor_algebra import (
     inverse,
     is_grouplike,
     is_unital,
-    lmul_adjoint,
     mul,
     norm,
     scale,
@@ -163,16 +162,18 @@ def affine_descent(value, grad, start, cfg=None) -> DescentResult:
 def pansu_gradient(f, g: TruncatedTensor) -> np.ndarray:
     """Degree-one directional derivatives of f at g.
 
-    Component i is ``d/d eta f(g * exp(eta e_i))`` at ``eta = 0``.  When
-    f has an ``euclidean_gradient`` attribute the chain rule gives the
-    exact value; otherwise scale-relative central differences are used.
+    Component i is ``d/d eta f(g * exp(eta e_i))`` at ``eta = 0``.  With an
+    ``euclidean_gradient`` attribute on f it is ``<grad f(g), g * e_i>``: the
+    chain rule through the d degree-one directions only, whose degree m is
+    ``g_{m-1} (x) e_i``.  Otherwise scale-relative central differences are used.
     """
     ambient = getattr(f, "euclidean_gradient", None)
     d = g.width
     if g.depth == 0:
         return np.zeros(d)
     if ambient is not None:
-        return lmul_adjoint(g, ambient(g)).levels[1].copy()
+        w = ambient(g).levels
+        return sum(g.levels[m - 1] @ w[m].reshape(-1, d) for m in range(1, g.depth + 1))
     h = _FD_STEP * (1.0 + norm(g))
     out = np.zeros(d)
     for i in range(d):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import affine_descent  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .signature import PiecewiseLinearPath, _check_memory, _sign_block, signature, signatures
+from .signature import PiecewiseLinearPath, _check_memory, _count, _sign_block, signature, signatures
 from .stochastic import _rng
 from .tensor_algebra import (
     TruncatedTensor,
@@ -234,7 +234,9 @@ def _gram_index(width: int, depth: int, side: str):
     On the right side ``(s * x)_W`` sums ``s_u x_v`` over the splits ``W =
     uv``; on the left ``(x * s)_W`` sums over ``W = vu``.  So each word W
     of length m and each pair of act-word lengths ``j, k <= m`` add
-    ``G[u_j, u_k]`` to ``Q[v_j, v_k]``.
+    ``G[u_j, u_k]`` to ``Q[v_j, v_k]``.  This split arithmetic stays apart
+    from ``mul_levels``: the ``(q, g)`` order fixes Q's summation order and
+    so its bits, and probing the kernel would need a dense ``D x D`` matrix.
     """
     offs = _level_offsets(width, depth)
     q, g = [], []
@@ -291,7 +293,7 @@ def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem
     dim = tensor_dim(mu.dim, depth)
     _check_memory(
         8 * (len(mu) * dim + 3 * dim * dim),
-        f"an act over {len(mu)} paths of width {mu.dim} at depth {depth}",
+        f"an act over {_count(len(mu))} paths of width {mu.dim} at depth {depth}",
     )
     levels = signatures(mu.paths, depth)
     quad = _quad_forms([lev[None] for lev in levels], mu.weights[None], side)[0]
@@ -477,7 +479,7 @@ def _check_size(n_u: int, n_x: int, points: int, width: int, depth: int) -> None
     dim = tensor_dim(width, depth)
     _check_memory(
         8 * (draws * (points * width + dim) + 2 * (n_u + 1) * dim * dim),
-        f"mutual information with n_u={n_u}, n_x={n_x} and depth {depth}",
+        f"mutual information with n_u={_count(n_u)}, n_x={_count(n_x)} and depth {depth}",
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -139,7 +140,7 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
     if any(p.dim != d for p in paths):
         raise ValueError("all paths must share one dimension")
     need = sum(_signing_bytes(p.n_segments, d, depth) for p in paths)
-    _check_memory(need, f"signing {len(paths)} paths of width {d} at depth {depth}")
+    _check_memory(need, f"signing {_count(len(paths))} paths of width {d} at depth {depth}")
     out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(paths):
@@ -163,9 +164,15 @@ def _check_memory(need: int, what: str) -> None:
     have = _physical_memory()
     if have is not None and need > have:
         raise ValueError(
-            f"{what} needs an estimated {need:,} bytes, more than the "
-            f"{have:,} bytes of physical memory"
+            f"{what} needs an estimated {_count(need)} bytes, more than the "
+            f"{_count(have)} bytes of physical memory"
         )
+
+
+def _count(n: int) -> str:
+    # Exact below 10**18, else the order of magnitude: math.log10 reads an
+    # int of any size, where converting it to a float overflows past 1.8e308.
+    return f"{n:,}" if n < 10**18 else f"about 10^{math.log10(n):.0f}"
 
 
 def _signing_bytes(n_segments: int, d: int, depth: int) -> int:

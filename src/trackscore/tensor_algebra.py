@@ -16,8 +16,10 @@ whose arrays carry leading batch axes: ``levels[m]`` has shape
 ``(..., width**m)``, and ``(rows, width**m)`` for ``inverse_levels``.
 They work elementwise along the batch axes, so an element's result does
 not depend on the batch it is computed in.  ``mul``, ``inverse`` and
-``exp_of_vector`` are thin wrappers over them.  ``split_levels`` cuts flat
-vectors ``(..., D)`` into a level batch, with ``unflatten`` its one-row case.
+``exp_of_vector`` are thin wrappers over them.  ``mul_levels`` is the one
+product kernel: the multiplication matrices are it applied to the basis.
+``split_levels`` cuts flat vectors ``(..., D)`` into a level batch, with
+``unflatten`` its one-row case.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ __all__ = [
     "drop_scalar",
     "is_unital",
     "is_grouplike",
-    "lmul_adjoint",
-    "rmul_adjoint",
     "lmul_matrix",
     "rmul_matrix",
     "unstack",
@@ -310,33 +310,6 @@ def is_grouplike(t: TruncatedTensor) -> bool:
     return norm(resid) <= GROUPLIKE_REL_TOL * (1.0 + norm(t))
 
 
-def lmul_adjoint(g: TruncatedTensor, w: TruncatedTensor) -> TruncatedTensor:
-    """Adjoint of x -> g * x with respect to the l2 inner product,
-    so that inner(mul(g, x), w) == inner(x, lmul_adjoint(g, w))."""
-    _check_match(g, w)
-    d = g.width
-    out = []
-    for j in range(g.depth + 1):
-        acc = np.zeros(d**j)
-        for k in range(g.depth - j + 1):
-            acc += g.levels[k] @ w.levels[k + j].reshape(d**k, d**j)
-        out.append(acc)
-    return TruncatedTensor(d, g.depth, tuple(out))
-
-
-def rmul_adjoint(g: TruncatedTensor, w: TruncatedTensor) -> TruncatedTensor:
-    """Adjoint of x -> x * g with respect to the l2 inner product."""
-    _check_match(g, w)
-    d = g.width
-    out = []
-    for j in range(g.depth + 1):
-        acc = np.zeros(d**j)
-        for k in range(g.depth - j + 1):
-            acc += w.levels[j + k].reshape(d**j, d**k) @ g.levels[k]
-        out.append(acc)
-    return TruncatedTensor(d, g.depth, tuple(out))
-
-
 def tensor_dim(width: int, depth: int) -> int:
     """Total number of coefficients of a tensor with given shape."""
     return sum(width**m for m in range(depth + 1))
@@ -367,32 +340,19 @@ def unflatten(vec: np.ndarray, width: int, depth: int) -> TruncatedTensor:
     return TruncatedTensor(width, depth, levels)
 
 
-def _mul_matrix(g: TruncatedTensor, left: bool) -> np.ndarray:
-    # Degree-m rows, degree-j columns hold g_{m-j} (x) I (left) or
-    # I (x) g_{m-j} (right); only the nonzero entries are written.
-    width, depth, levels = g.width, g.depth, g.levels
-    offs = _level_offsets(width, depth)
-    A = np.zeros((offs[-1], offs[-1]))
-    for m in range(depth + 1):
-        for j in range(m + 1):
-            n, p = width**j, width ** (m - j)
-            a, b = np.arange(p), np.arange(n)
-            if left:  # entry (a*n + b, b) is g_a
-                rows, cols, coef = (a[:, None] * n + b).ravel(), np.tile(b, p), np.repeat(a, n)
-            else:  # entry (b*p + a, b) is g_a
-                rows, cols, coef = (b[:, None] * p + a).ravel(), np.repeat(b, p), np.tile(a, n)
-            A[offs[m] + rows, offs[j] + cols] = levels[m - j][coef]
-    return A
+def _basis(g: TruncatedTensor) -> list[np.ndarray]:
+    # The basis tensors e_b as rows: column b of g's matrices is g * e_b or e_b * g.
+    return split_levels(np.eye(tensor_dim(g.width, g.depth)), g.width, g.depth)
 
 
 def lmul_matrix(g: TruncatedTensor) -> np.ndarray:
     """Matrix of x -> g * x acting on flattened coefficient vectors."""
-    return _mul_matrix(g, left=True)
+    return np.concatenate(mul_levels(g.levels, _basis(g)), axis=-1).T
 
 
 def rmul_matrix(g: TruncatedTensor) -> np.ndarray:
     """Matrix of x -> x * g acting on flattened coefficient vectors."""
-    return _mul_matrix(g, left=False)
+    return np.concatenate(mul_levels(_basis(g), g.levels), axis=-1).T
 
 
 def unstack(levels, width: int) -> list[TruncatedTensor]:

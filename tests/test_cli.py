@@ -463,6 +463,7 @@ def test_warp_grid_too_large_for_memory_is_data_error(tmp_path, capsys):
     assert captured.out == ""
     assert "a warp sweep of 14 tracks of" in captured.err
     assert "needs an estimated" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 200
     assert not list(tmp_path.glob("out*"))
 
 
@@ -476,6 +477,7 @@ def test_mi_grid_too_large_for_memory_is_data_error(tmp_path, capsys):
     assert captured.out == ""
     assert "mutual information with n_u=2, n_x=2" in captured.err
     assert "needs an estimated" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 200
     assert not list(tmp_path.glob("out*"))
 
 

@@ -15,8 +15,10 @@ from trackscore.optimize import (
 from trackscore.tensor_algebra import (
     drop_scalar,
     exp_of_vector,
+    flatten,
     inner,
     is_grouplike,
+    lmul_matrix,
     mul,
     norm,
     scale,
@@ -71,12 +73,16 @@ def test_affine_descent_halves_on_divergence():
 
 def test_pansu_gradient_analytic_matches_fd():
     rng = np.random.default_rng(0)
-    target = exp_of_vector(rng.standard_normal(2), 4)
-    obj = QuadraticObjective(target)
-    g = exp_of_vector(rng.standard_normal(2), 4)
-    exact = pansu_gradient(obj, g)  # uses euclidean_gradient attribute
-    fd = pansu_gradient(lambda t: obj(t), g)  # plain callable, so FD
-    assert np.linalg.norm(exact - fd) <= 1e-5 * (1.0 + np.linalg.norm(exact))
+    for d, M in [(2, 4), (1, 1), (1, 6), (3, 1), (3, 6)]:
+        target = exp_of_vector(rng.standard_normal(d), M)
+        obj = QuadraticObjective(target)
+        g = exp_of_vector(rng.standard_normal(d), M)
+        exact = pansu_gradient(obj, g)  # uses euclidean_gradient attribute
+        fd = pansu_gradient(lambda t: obj(t), g)  # plain callable, so FD
+        assert np.linalg.norm(exact - fd) <= 1e-5 * (1.0 + np.linalg.norm(exact))
+        # independent route: degree one of the adjoint of x -> g * x
+        adjoint = lmul_matrix(g).T @ flatten(obj.euclidean_gradient(g))
+        np.testing.assert_allclose(exact, adjoint[1 : 1 + d], rtol=1e-12)
 
 
 def test_pansu_gradient_directional_meaning():

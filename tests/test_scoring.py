@@ -270,21 +270,23 @@ def test_expected_signature_is_weighted_mean():
     assert norm(es - ref) <= 1e-14
 
 
-def test_slice_gradient_matches_averaged_adjoints():
-    # the assembled quadratic form and the adjoint route must agree
+def test_slice_gradient_matches_averaged_matrix_transposes():
+    # the assembled quadratic form and each signature's multiplication
+    # matrix transpose (the adjoint of its product) must agree
     from trackscore.scoring import _slice_objective, _slice_problem
-    from trackscore.tensor_algebra import drop_scalar, lmul_adjoint, rmul_adjoint
+    from trackscore.tensor_algebra import drop_scalar, unflatten
 
     rng = np.random.default_rng(10)
     mu = random_measure(rng, 3)
     u = signature(mu.paths[0], 3)  # any unital point works
-    for side, adj in ((RIGHT, lmul_adjoint), (LEFT, rmul_adjoint)):
+    for side, matrix in ((RIGHT, lmul_matrix), (LEFT, rmul_matrix)):
         prob = _slice_problem(mu, side, 3)
         _, grad = _slice_objective(prob)
         g1 = grad(u)
         g2 = 0.0 * unit(2, 3)
         for w, s in zip(prob.weights, unstack(prob.levels, prob.width)):
-            term = adj(s, mul(s, u) if side == RIGHT else mul(u, s))
+            prod = mul(s, u) if side == RIGHT else mul(u, s)
+            term = unflatten(matrix(s).T @ flatten(prod), 2, 3)
             g2 = g2 + term * float(2.0 * w)
         g2 = drop_scalar(g2)
         assert norm(g1 - g2) <= 1e-12 * max(1.0, norm(g1))

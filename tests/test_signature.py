@@ -339,6 +339,18 @@ def test_signatures_size_guard_refuses_before_signing(monkeypatch):
     assert signatures(paths, 3)[3].shape == (3, 8)
 
 
+def test_size_guard_message_counts_stay_readable(monkeypatch):
+    # exact below 10**18, an order of magnitude from there up; an estimate
+    # past Python's 4300-digit int-to-str limit still gives the guard's message
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: 10**18 - 1)
+    with pytest.raises(ValueError, match=r"estimated about 10\^6022 bytes, more than the "
+                       r"999,999,999,999,999,999 bytes of physical memory$"):
+        signatures([make_path([[0.0, 0.0], [1.0, 1.0]])], 20000)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: 10**18)
+    with pytest.raises(ValueError, match=r"more than the about 10\^18 bytes"):
+        signatures([make_path([[0.0, 0.0], [1.0, 1.0]])], 20000)
+
+
 def test_signatures_validation():
     with pytest.raises(ValueError):
         signatures([], 2)
