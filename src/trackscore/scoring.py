@@ -33,7 +33,7 @@ import numpy as np
 
 from .optimize import affine_descent  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .signature import PiecewiseLinearPath, _check_memory, _count, _sign_block, signature, signatures
-from .stochastic import _rng
+from .stochastic import _rngs
 from .tensor_algebra import (
     TruncatedTensor,
     _level_offsets,
@@ -503,7 +503,10 @@ def mutual_information(
     count on both sides cancels the finite-sample entropy bias exactly
     when track and condition are independent.  Every draw uses its own
     derived seed ``(seed, stream, index)``, so results do not depend on
-    draw order.
+    draw order.  The estimate derives all its ``n_x + n_u + n_x * n_u``
+    generators in one batch (``stochastic._rngs``); each stays
+    bit-identical to ``default_rng(SeedSequence((seed, stream, index)))``,
+    whose output NEP 19 keeps stable.
 
     All ``n_x * (n_u + 1)`` tracks are drawn in one ``sample_paths``
     call and signed from that point array in one batch, and the
@@ -519,12 +522,17 @@ def mutual_information(
         raise ValueError("depth must be nonnegative")
     shape = (model.cfg.steps + 1, model.cfg.dim)
     _check_size(n_u, n_x, *shape, depth)
-    rngs = [_rng(seed, 0, j) for j in range(n_x)]
-    conditions = [model.sample_condition(rng) for rng in rngs]
-    for k in range(n_u):
-        conditions.extend([model.sample_condition(_rng(seed, 1, k))] * n_x)
-        rngs.extend(_rng(seed, 2, k, j) for j in range(n_x))
-    tracks = model.sample_paths(rngs, conditions)
+    rngs = _rngs(
+        seed,
+        [(0, j) for j in range(n_x)]
+        + [(1, k) for k in range(n_u)]
+        + [(2, k, j) for k in range(n_u) for j in range(n_x)],
+    )
+    draws, families = rngs[:n_x], rngs[n_x : n_x + n_u]
+    conditions = [model.sample_condition(rng) for rng in draws]
+    for rng in families:
+        conditions.extend([model.sample_condition(rng)] * n_x)
+    tracks = model.sample_paths(draws + rngs[n_x + n_u :], conditions)
     if tracks.shape[1:] != shape:
         raise ValueError(f"tracks of shape {tracks.shape[1:]} disagree with cfg's {shape}")
     if not np.isfinite(tracks).all():

@@ -9,10 +9,10 @@ paths in one kernel call.  Each path is cut into fixed-length chunks,
 and every chunk is signed by the fused multiply-exponentiate fold
 ``S <- S (x) exp(delta)`` in Horner form, vectorised over all
 (path, chunk) rows, so no segment exponential is ever formed.  The
-increments, taken in one subtract, are copied once so that the rows
-sit on the last axis, and each numpy call runs its inner loop over all
-rows; the result is bit-identical to the same fold with one row per
-leading index.  The chunk products are then folded left to right, so
+increments are written straight into one buffer with the rows on the
+last axis, and each numpy call runs its inner loop over all rows; the
+result is bit-identical to the same fold with one row per leading
+index.  The chunk products are then folded left to right, so
 the cost is linear in the number of segments.  The signature depends
 only on the traced-out track: reparametrization, refinement of
 breakpoints and translation all leave it unchanged.
@@ -176,9 +176,17 @@ def _count(n: int) -> str:
 
 
 def _signing_bytes(n_segments: int, d: int, depth: int) -> int:
-    """Estimated bytes of signing one path: its output tensor, and the
-    fold's accumulators, one per chunk."""
-    return 8 * (1 + _chunking(n_segments)[1]) * tensor_dim(d, depth)
+    """Estimated bytes of signing one path: its stacked points and its
+    padded increments, its output tensor, the fold's accumulators, one per
+    chunk, and per chunk the top degree's Horner temporaries: the running
+    product and its sum, of degree ``depth - 1``, and their product."""
+    chunk, n_chunks = _chunking(n_segments)
+    horner = d**depth + 2 * d ** (depth - 1) if depth else 0
+    return 8 * (
+        (n_segments + 1 + chunk * n_chunks) * d
+        + (1 + n_chunks) * tensor_dim(d, depth)
+        + n_chunks * horner
+    )
 
 
 def _chunking(n_segments: int) -> tuple[int, int]:
@@ -194,13 +202,29 @@ def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
     batch, n, d = points.shape[0], points.shape[1] - 1, points.shape[2]
     chunk, n_chunks = _chunking(n)
     rows = batch * n_chunks
+    # The increments are written straight into one contiguous (chunk, d,
+    # rows) buffer, row (path, chunk) last, so each numpy call below loops
+    # over all rows rather than over the d coordinates.  The full chunks,
+    # then the rest, each take one copy of their segment ends and one
+    # in-place subtract of their starts: a subtract of two inputs laid out
+    # unlike its output stages both in ufunc buffers of up to 8192
+    # elements, the whole input for small blocks; the copy stages none.
     # Zero increments pad the last chunk: folding one in adds exact zeros.
-    increments = np.zeros((batch, n_chunks * chunk, d))
-    np.subtract(points[:, 1:], points[:, :-1], out=increments[:, :n])
-    # The (path, chunk) rows move to the last axis, so each numpy call
-    # below loops over all rows rather than over the d coordinates; the
-    # copy is contiguous, since on a transposed view every slice is strided.
-    increments = np.ascontiguousarray(increments.reshape(rows, chunk, d).transpose(1, 2, 0))
+    increments = np.empty((chunk, d, rows))
+    by_chunk = increments.reshape(chunk, d, batch, n_chunks)
+    full = n // chunk
+    ends = points[:, 1 : full * chunk + 1].reshape(batch, full, chunk, d).transpose(2, 3, 0, 1)
+    starts = points[:, : full * chunk].reshape(batch, full, chunk, d).transpose(2, 3, 0, 1)
+    out = by_chunk[..., :full]
+    np.copyto(out, ends)
+    out -= starts
+    if full < n_chunks:
+        rest = n - full * chunk
+        tail = points[:, full * chunk :].transpose(1, 2, 0)
+        out = by_chunk[:rest, :, :, full]
+        np.copyto(out, tail[1:])
+        out -= tail[:-1]
+        by_chunk[rest:, :, :, full] = 0.0
     acc = [np.zeros((d**m, rows)) for m in range(depth + 1)]
     acc[0][:] = 1.0
     divisors = np.arange(1.0, depth + 1)[:, None, None]

@@ -3,7 +3,13 @@
 All randomness flows through numpy's PCG64 generator.  Only
 :func:`brownian` derives its generator from ``SimConfig.seed``; the
 models take explicit generators, one per draw, so that callers can hand
-every draw its own derived stream and stay order-independent.
+every draw its own derived stream and stay order-independent.  The
+stream ``(seed, *stream)`` names the generator
+``default_rng(SeedSequence((seed, *stream)))``: ``_rng`` builds one
+through numpy, and ``_rngs`` builds a whole estimate's generators in one
+batch, hashing every seed sequence at once with ``SeedSequence``'s own
+algorithm.  The states are bit-identical either way, and NEP 19 keeps
+``SeedSequence``'s output stable across numpy versions.
 
 A conditional model (:class:`SpiralModel`, :class:`WarpedMixModel`)
 exposes ``sample_condition(rng)`` and ``sample_paths(rngs,
@@ -19,7 +25,9 @@ per draw (see ``scoring.mutual_information``).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +88,115 @@ class SimConfig:
 def _rng(seed, *stream) -> np.random.Generator:
     # default_rng(SeedSequence((seed, *stream))), without its argument dispatch
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + stream)))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), fixed
+# by NEP 19 together with the rest of its output
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n) -> list[int]:
+    # SeedSequence's split of a nonnegative int into uint32 words, low first
+    n = operator.index(n)
+    if 0 <= n <= _MASK32:
+        return [n]
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _consts(init: int, mult: int, count: int) -> np.ndarray:
+    # the running hash constant of count hash steps: init, init * mult, ...
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, one step per row of value: step i xors in
+    # consts[i] and multiplies by consts[i + 1]
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    return value
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each column
+    ``e`` of a ``(words, n)`` uint32 entropy array, as ``(n, 4)``.
+
+    Every column has the same length, so every hash step uses the same
+    constant in all of them, and each step runs once over all columns.
+    Array arithmetic wraps modulo 2**32 as the uint32 hash does."""
+    length = entropy.shape[0]
+    extra = max(0, length - _POOL)
+    a = _consts(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    # fill the pool from the entropy, hashing zeros past its end
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[: min(length, _POOL)] = entropy[:_POOL]
+    pool = _hashmix(pool, a[: _POOL + 1])
+    # mix every word into every other, then each remaining entropy word
+    # into every pool word
+    c = _POOL
+    for src in range(_POOL + extra):
+        dst = [i for i in range(_POOL) if i != src]
+        word = pool[src] if src < _POOL else entropy[src]
+        hashed = _hashmix(word, a[c : c + len(dst) + 1])
+        mixed = pool[dst] * np.uint32(_MIX_L)
+        mixed -= hashed * np.uint32(_MIX_R)
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+        c += len(dst)
+    # generate_state(4, uint64): 8 uint32 words from the cycled pool,
+    # paired little-endian into uint64
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _consts(_INIT_B, _MULT_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _precomputed_seed():
+    # The ISeedSequence that hands PCG64 precomputed words.  Made on first
+    # use: subclassing it imports numpy.random, which the CLI never needs.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _PrecomputedSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's four uint64 words are precomputed")
+            return self.words
+
+    return _PrecomputedSeed
+
+
+def _rngs(seed, streams) -> list[np.random.Generator]:
+    """One generator per stream tuple, each in exactly the state of
+    ``_rng(seed, *stream)``: ``default_rng(SeedSequence((seed, *stream)))``.
+
+    The seed sequences are hashed together, one vectorised pass per
+    entropy length, and each PCG64 is handed its words; only building the
+    generators is left per stream.  A negative seed or stream entry raises
+    ``ValueError``, as ``SeedSequence`` does."""
+    head = _words(int(seed))
+    entropy = [head + [w for e in stream for w in _words(e)] for stream in streams]
+    by_length: dict[int, list[int]] = {}
+    for i, e in enumerate(entropy):
+        by_length.setdefault(len(e), []).append(i)
+    states = np.empty((len(entropy), 4), dtype=np.uint64)
+    for idx in by_length.values():
+        states[idx] = _seed_states(np.array([entropy[i] for i in idx], dtype=np.uint32).T)
+    seed_of = _precomputed_seed()
+    return [np.random.Generator(np.random.PCG64(seed_of(s))) for s in states]
 
 
 def _brownian_points(rngs, cfg: SimConfig) -> np.ndarray:

@@ -321,14 +321,15 @@ def test_kernel_chunking_and_working_set():
 
 
 def test_signatures_size_guard_refuses_before_signing(monkeypatch):
-    # 3 paths of 300 segments fold 3 chunks each, and depth 3 at width 2
-    # has D = 15: the 3 outputs and 9 accumulators take 8 * 15 * (3 + 9)
-    # bytes
+    # 3 paths of 300 segments fold 3 chunks of 128 each, and depth 3 at
+    # width 2 has D = 15.  Per path: 301 points and 384 padded increments
+    # of 2 words, 1 output and 3 accumulators of 15, and per chunk the
+    # Horner temporaries of degree 3: 8 + 2 * 4 words.
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     paths = [random_path(np.random.default_rng(3), 300, scale=0.1) for _ in range(3)]
-    need = 8 * 15 * (3 + 9)
+    need = 8 * 3 * ((301 + 384) * 2 + (1 + 3) * 15 + 3 * (8 + 2 * 4))
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
         m.setattr(signature_module, "_sign_block", unsigned)
@@ -337,6 +338,25 @@ def test_signatures_size_guard_refuses_before_signing(monkeypatch):
     # the bound is the estimate itself
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
     assert signatures(paths, 3)[3].shape == (3, 8)
+
+
+def test_signing_estimate_counts_the_input_sized_arrays(monkeypatch):
+    # A long, shallow track: its points and its increments, not its
+    # 7-word tensors, set the estimate.  200 000 segments fold 1563
+    # chunks of 128, and depth 2 at width 2 has D = 7.
+    def unsigned(*args):
+        raise AssertionError("signed past the guard")
+
+    track = make_path(np.zeros((200_001, 2)))
+    need = 8 * ((200_001 + 128 * 1563) * 2 + (1 + 1563) * 7 + 1563 * (4 + 2 * 2))
+    assert need > 2 * track.points.nbytes
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(signature_module, "_sign_block", unsigned)
+        with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
+            signatures([track], 2)
+    monkeypatch.setattr(signature_module, "_physical_memory", lambda: need)
+    assert np.array_equal(signatures([track], 2)[2], np.zeros((1, 4)))
 
 
 def test_size_guard_message_counts_stay_readable(monkeypatch):

@@ -1,6 +1,11 @@
 """Seeded simulators: Brownian paths, warps, spirals and mixtures."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,45 @@ from trackscore.stochastic import (
     brownian,
     power_warp,
     _rng,
+    _rngs,
     power_warps,
 )
+
+
+def test_rngs_equal_seed_sequence_generators():
+    # one call with stream tuples of 0 to 3 entries, some past 2**32, so
+    # that entropy lengths mix and run past the 4-word pool; each state
+    # must be numpy's own SeedSequence state, and the uint32 hash must
+    # wrap without warning
+    streams = [(), (0,), (1, 7), (2, 3, 4), (2**32,), (0, 2**32 + 1), (5, 2**40, 2**64 - 1), (2, 0, 0)]
+    for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rngs = _rngs(seed, streams)
+        for stream, rng in zip(streams, rngs, strict=True):
+            ref = np.random.default_rng(np.random.SeedSequence((seed, *stream)))
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, stream)
+    # and the draws are _rng's, numpy's own route
+    assert np.array_equal(_rngs(7, [(2, 3, 4)])[0].normal(size=20), _rng(7, 2, 3, 4).normal(size=20))
+    assert _rngs(7, []) == []
+
+
+def test_rngs_refuse_negative_entries_as_seed_sequence_does():
+    for seed, stream in ((-1, (0,)), (0, (1, -2)), (-(2**40), ())):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((seed, *stream))
+        with pytest.raises(ValueError):
+            _rngs(seed, [(0,), stream])
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # generators are built only when drawing, so starting the CLI loads
+    # neither numpy.random nor the class that hands PCG64 its words
+    src = Path(_rngs.__code__.co_filename).resolve().parents[1]
+    code = "import sys, trackscore, trackscore.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_config_validation():
