@@ -164,7 +164,8 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 @functools.cache
 def _precomputed_seed():
     # The ISeedSequence that hands PCG64 precomputed words.  Made on first
-    # use: subclassing it imports numpy.random, which the CLI never needs.
+    # use: subclassing it imports numpy.random, which only commands that
+    # draw need, so importing the CLI does not load it.
     from numpy.random.bit_generator import ISeedSequence
 
     class _PrecomputedSeed(ISeedSequence):

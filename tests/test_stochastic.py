@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trackscore
 from trackscore.signature import make_path
 from trackscore.stochastic import (
     OMEGA_MAX,
@@ -53,9 +54,11 @@ def test_rngs_refuse_negative_entries_as_seed_sequence_does():
 def test_cli_import_leaves_numpy_random_unloaded():
     # generators are built only when drawing, so starting the CLI loads
     # neither numpy.random nor the class that hands PCG64 its words
-    src = Path(_rngs.__code__.co_filename).resolve().parents[1]
-    code = "import sys, trackscore, trackscore.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, trackscore, trackscore.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(trackscore.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
 
