@@ -25,6 +25,7 @@ from .stochastic import (
     SimConfig,
     SpiralModel,
     WarpedMixModel,
+    _draw_bytes,
     brownian,
     power_warp,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     power_warps,
@@ -95,7 +96,9 @@ def run_warp_experiment(
     For each exponent p on a logarithmic grid in [1, p_max], compares
     the geometric point divergence (parametrization-invariant) with the
     soft DTW family and hard DTW.  Returns ``(header, rows)`` with
-    columns ``p, geometric_divergence, sdtw_gamma_<g>..., dtw``.
+    columns ``p, geometric_divergence, sdtw_gamma_<g>..., dtw``.  A sweep
+    whose draw, signing and wavefront are estimated to need more than
+    physical memory in sum raises ``ValueError`` before anything is drawn.
     """
     if not 1 <= p_max < math.inf:
         raise ValueError("p_max must be finite and at least 1")
@@ -104,7 +107,12 @@ def run_warp_experiment(
     gammas = [float(g) for g in gammas]
     header = ["p", "geometric_divergence", *sdtw_columns(gammas), "dtw"]
     cfg = SimConfig(seed=seed, horizon=HORIZON, resolution=resolution, dim=2)
-    _check_warp_size(cfg, n_points, len(gammas), depth)
+    points, tracks = cfg.steps + 1, n_points + 1
+    need = _draw_bytes(tracks, cfg) + _signing_bytes(tracks, cfg.steps, cfg.dim, depth)
+    _check_memory(
+        need + _wavefront_bytes(2 * n_points + 1, points, points, cfg.dim, len(gammas) + 1),
+        f"a warp sweep of {_count(tracks)} tracks of {_count(points)} points at depth {depth}",
+    )
     x = brownian(cfg)
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
     # the warps keep the time grid, so x and its warps are signed in
@@ -118,18 +126,6 @@ def run_warp_experiment(
         for p, g, sdtw_y, h in zip(ps, geometric.tolist(), sdtw.tolist(), hard.tolist())
     ]
     return header, rows
-
-
-def _check_warp_size(cfg: SimConfig, n_points: int, n_gammas: int, depth: int) -> None:
-    """Refuses a sweep whose tracks, signatures and DTW wavefront would
-    not fit in physical memory, before anything is drawn."""
-    points, tracks = cfg.steps + 1, n_points + 1
-    _check_memory(
-        8 * tracks * points * cfg.dim
-        + tracks * _signing_bytes(cfg.steps, cfg.dim, depth)
-        + _wavefront_bytes(2 * n_points + 1, points, points, cfg.dim, n_gammas + 1),
-        f"a warp sweep of {_count(tracks)} tracks of {_count(points)} points at depth {depth}",
-    )
 
 
 def _mi_model(kind: str, rho: float, cfg: SimConfig):

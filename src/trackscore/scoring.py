@@ -27,13 +27,15 @@ losses behind scores, entropies, divergences and mutual information.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optimize import affine_descent  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .signature import PiecewiseLinearPath, _check_memory, _count, _sign_block, signature, signatures
-from .stochastic import _rngs
+from .signature import PiecewiseLinearPath, _check_memory, _count, _sign_block, _signing_bytes
+from .signature import signature, signatures
+from .stochastic import _draw_bytes, _rngs
 from .tensor_algebra import (
     TruncatedTensor,
     _level_offsets,
@@ -287,12 +289,23 @@ def _expected_losses(levels, weights: np.ndarray, x: np.ndarray, side: str) -> n
     return np.sum(weights * _losses(prod), axis=-1)
 
 
+def _form_bytes(forms: int, n: int, width: int, depth: int) -> int:
+    """Estimated bytes of solving ``forms`` forms of ``n`` signatures each and
+    taking their expected losses: per form the stacked and weighted
+    signatures, four ``D x D`` arrays (Gram, form, factor, solve copy), the
+    gathered Gram entries and the losses' temporaries; once, ``_gram_index``."""
+    dim = tensor_dim(width, depth)
+    gathered = sum(width**m * (m + 1) ** 2 for m in range(depth + 1))
+    per_form = 2 * n * dim + 4 * dim * dim + gathered + 2 * n * width**depth
+    return 8 * (forms * per_form + 2 * gathered)
+
+
 def _slice_problem(mu: EmpiricalMeasure, side: str, depth: int) -> _SliceProblem:
     _check_side(side)
-    # signatures, plus the Gram matrix, the gathered form and its factor
-    dim = tensor_dim(mu.dim, depth)
+    lengths = Counter(p.n_segments for p in mu.paths)
+    need = sum(_signing_bytes(k, n, mu.dim, depth) for n, k in lengths.items())
     _check_memory(
-        8 * (len(mu) * dim + 3 * dim * dim),
+        need + _form_bytes(1, len(mu), mu.dim, depth),
         f"an act over {_count(len(mu))} paths of width {mu.dim} at depth {depth}",
     )
     levels = signatures(mu.paths, depth)
@@ -406,7 +419,7 @@ def score_with_act(x: PiecewiseLinearPath, mu: EmpiricalMeasure, side: str, dept
     """:func:`score` together with the act of mu."""
     if x.dim != mu.dim:
         raise ValueError("outcome and forecast must share one dimension")
-    act, u, _ = _act(mu, side, depth)
+    act, u = _act(mu, side, depth)[:2]
     return float(_expected_losses(signatures([x], depth), np.ones(1), u, side)), act
 
 
@@ -423,10 +436,11 @@ def entropy(mu: EmpiricalMeasure, side: str, depth: int) -> float:
 def divergence_with_acts(nu: EmpiricalMeasure, mu: EmpiricalMeasure, side: str, depth: int):
     """:func:`divergence` together with the acts of mu and nu, in that
     order.  Each measure's paths are signed once; nu's signatures serve
-    both the cross term and nu's own entropy."""
+    both the cross term and nu's own entropy.  Mu's signatures and form
+    are freed before nu's act, so the peak is that of one act."""
     if nu.dim != mu.dim:
         raise ValueError("measures must share one dimension")
-    act_mu, x_mu, _ = _act(mu, side, depth)
+    act_mu, x_mu = _act(mu, side, depth)[:2]
     act_nu, _, prob_nu = _act(nu, side, depth)
     cross = _expected_losses(prob_nu.levels, prob_nu.weights, x_mu, side)
     return float(cross) - act_nu.objective, act_mu, act_nu
@@ -471,18 +485,6 @@ def linear_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, depth: int) ->
     return norm(diff) ** 2
 
 
-def _check_size(n_u: int, n_x: int, points: int, width: int, depth: int) -> None:
-    """Refuses an estimate whose draws, signatures, Gram matrices and
-    forms would not fit in physical memory, before they are allocated.
-    ``points`` is the number of breakpoints per track."""
-    draws = n_x * (n_u + 1)
-    dim = tensor_dim(width, depth)
-    _check_memory(
-        8 * (draws * (points * width + dim) + 2 * (n_u + 1) * dim * dim),
-        f"mutual information with n_u={_count(n_u)}, n_x={_count(n_x)} and depth {depth}",
-    )
-
-
 def mutual_information(
     model,
     n_u: int,
@@ -510,18 +512,23 @@ def mutual_information(
 
     All ``n_x * (n_u + 1)`` tracks are drawn in one ``sample_paths``
     call and signed from that point array in one batch, and the
-    ``n_u + 1`` acts are solved together.  A request whose estimated
-    memory exceeds the machine's physical memory raises ``ValueError``
-    before anything is drawn; tracks whose shape disagrees with ``cfg``
-    raise it once drawn.
+    ``n_u + 1`` acts are solved together.  A request whose draw, signing
+    and forms are estimated to need more than physical memory in sum
+    raises ``ValueError`` before anything is drawn; tracks whose shape
+    disagrees with ``cfg`` raise it once drawn.
     """
     _check_side(side)
     if n_u < 2 or n_x < 2:
         raise ValueError("need at least two conditions and two paths each")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    shape = (model.cfg.steps + 1, model.cfg.dim)
-    _check_size(n_u, n_x, *shape, depth)
+    cfg, n = model.cfg, n_x * (n_u + 1)
+    shape = (cfg.steps + 1, cfg.dim)
+    need = _draw_bytes(n, cfg) + _signing_bytes(n, cfg.steps, cfg.dim, depth)
+    _check_memory(
+        need + _form_bytes(n_u + 1, n_x, cfg.dim, depth),
+        f"mutual information with n_u={_count(n_u)}, n_x={_count(n_x)} and depth {depth}",
+    )
     rngs = _rngs(
         seed,
         [(0, j) for j in range(n_x)]

@@ -128,8 +128,8 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
 
     Paths with the same number of breakpoints are signed in one kernel
     call.  Each path's result equals :func:`signature` of that path
-    bit for bit.  A request whose estimated memory exceeds physical
-    memory raises ``ValueError`` before anything is allocated.
+    bit for bit.  A request whose signing is estimated to need more than
+    physical memory raises ``ValueError`` before anything is allocated.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -139,12 +139,12 @@ def signatures(paths, depth: int) -> list[np.ndarray]:
     d = paths[0].dim
     if any(p.dim != d for p in paths):
         raise ValueError("all paths must share one dimension")
-    need = sum(_signing_bytes(p.n_segments, d, depth) for p in paths)
-    _check_memory(need, f"signing {_count(len(paths))} paths of width {d} at depth {depth}")
-    out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(paths):
         by_length.setdefault(p.n_segments, []).append(i)
+    need = sum(_signing_bytes(len(idx), n, d, depth) for n, idx in by_length.items())
+    _check_memory(need, f"signing {_count(len(paths))} paths of width {d} at depth {depth}")
+    out = [np.empty((len(paths), d**m)) for m in range(depth + 1)]
     for idx in by_length.values():
         for o, lev in zip(out, _sign_block(np.stack([paths[i].points for i in idx]), depth)):
             o[idx] = lev
@@ -175,18 +175,20 @@ def _count(n: int) -> str:
     return f"{n:,}" if n < 10**18 else f"about 10^{math.log10(n):.0f}"
 
 
-def _signing_bytes(n_segments: int, d: int, depth: int) -> int:
-    """Estimated bytes of signing one path: its stacked points and its
-    padded increments, its output tensor, the fold's accumulators, one per
-    chunk, and per chunk the top degree's Horner temporaries: the running
-    product and its sum, of degree ``depth - 1``, and their product."""
+def _signing_bytes(batch: int, n_segments: int, d: int, depth: int) -> int:
+    """Estimated bytes of one kernel call on ``batch`` paths of ``n_segments``.
+    Per path: 25 words of indices and row views, its stacked points and
+    padded increments, its output, and per chunk an accumulator, the scaled
+    increments and the top degree's Horner temporaries; with several
+    chunks, their rows-first copies and the chunk fold's products.  Once:
+    numpy's ufunc staging, three buffers of at most ``np.getbufsize()``."""
     chunk, n_chunks = _chunking(n_segments)
-    horner = d**depth + 2 * d ** (depth - 1) if depth else 0
-    return 8 * (
-        (n_segments + 1 + chunk * n_chunks) * d
-        + (1 + n_chunks) * tensor_dim(d, depth)
-        + n_chunks * horner
-    )
+    dim, top = tensor_dim(d, depth), d**depth
+    per_chunk = dim + depth * d + (top + 2 * d ** (depth - 1) if depth else 0)
+    fold = n_chunks * dim + 2 * dim + top if n_chunks > 1 else 0
+    per_path = 25 + (n_segments + 1 + chunk * n_chunks) * d + dim + n_chunks * per_chunk + fold
+    staging = 3 * min(np.getbufsize(), batch * n_chunks * max(chunk * d, top))
+    return 8 * (batch * per_path + staging)
 
 
 def _chunking(n_segments: int) -> tuple[int, int]:

@@ -291,6 +291,14 @@ def _mix(rho: float, signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return signal
 
 
+def _draw_bytes(n: int, cfg: SimConfig) -> int:
+    """Estimated bytes of drawing ``n`` tracks with either model, beside the
+    tracks, which their signing counts: per track a generator (about 1 KiB),
+    a base path, two track-sized working arrays and five grid-sized ones:
+    the warp's times, indices, spacings, gathers and hits, or spiral terms."""
+    return n * (1024 + 8 * (cfg.steps + 1) * (3 * cfg.dim + 6))
+
+
 @dataclass(frozen=True)
 class _Model:
     """What the two models share: the mixing weight ``rho`` in [0, 1],

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trackscore.baselines import cost_matrix, dtw, dtw_family, soft_dtw
+from trackscore.baselines import _wavefront_bytes, cost_matrix, dtw, dtw_family, soft_dtw
 
 from oracles import soft_dtw_loop
 
@@ -201,7 +201,8 @@ def test_dtw_family_keeps_diagonals_not_tables():
     # be about 25 times the stacked inputs, and the four whole DP tables
     # of each pair about 100 times.  The pass holds the stacked points,
     # two diagonals of each of the four tables (twice the inputs here),
-    # and one diagonal's gamma and soft-min temporaries for three tables.
+    # and one diagonal's gamma and soft-min temporaries for three tables,
+    # which is the warp sweep guard's estimate.
     rng = np.random.default_rng(10)
     xs = [rng.standard_normal((101, 2)) for _ in range(27)]
     ys = [rng.standard_normal((101, 2)) for _ in range(27)]
@@ -213,6 +214,7 @@ def test_dtw_family_keeps_diagonals_not_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * inputs, peak / inputs
+    assert peak <= _wavefront_bytes(27, 101, 101, 2, 4), peak
 
 
 def test_empty_inputs_rejected():

@@ -388,20 +388,25 @@ def test_score_is_the_loss_of_the_act(tmp_path, side, capsys):
 
 
 def test_mi_too_large_for_memory_is_data_error(capsys):
-    # refused by arithmetic before any draw is allocated: 101 points of
-    # width 2 per track and D = 31 at depth 4
+    # refused by arithmetic before any draw is allocated: n * (n + 1)
+    # tracks of 101 points of width 2, and D = 31 at depth 4 (see
+    # test_mutual_information_size_guard in test_scoring.py for the terms)
     n = 10**6
-    need = 8 * (n * (n + 1) * (101 * 2 + 31) + 2 * (n + 1) * 31 * 31)
+    tracks = n * (n + 1)
+    sign = tracks * (25 + (101 + 100) * 2 + 2 * 31 + 4 * 2 + 16 + 2 * 8) + 3 * np.getbufsize()
+    form = (n + 1) * (2 * n * 31 + 4 * 31 * 31 + 573 + 2 * n * 16) + 2 * 573
+    need = tracks * (1024 + 8 * 101 * (3 * 2 + 6)) + 8 * (sign + form)
     assert main(["mi", "--model", "spiral", "--rho", "0.5",
                  "--n-u", str(n), "--n-x", str(n)]) == 2
     assert f"needs an estimated {need:,} bytes" in capsys.readouterr().err
 
 
 def test_act_too_large_for_memory_is_data_error(tmp_path, pair_csv, monkeypatch, capsys):
-    # refused by arithmetic before anything is signed: 2 paths of width 2
-    # at depth 8, so D = 511
-
-    need = 8 * (2 * 511 + 3 * 511 * 511)
+    # refused by arithmetic before anything is signed: 2 paths of 2
+    # segments and width 2 at depth 8, so D = 511 (see
+    # test_act_size_guard_refuses_before_signing in test_scoring.py)
+    sign = 25 + (3 + 2) * 2 + 2 * 511 + 8 * 2 + 256 + 2 * 128 + 3 * 256
+    need = 8 * (2 * sign + 2 * 2 * 511 + 4 * 511 * 511 + 3 * 33_789 + 2 * 2 * 256)
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     for argv in (["entropy", "--input", str(pair_csv)],
                  ["divergence", "--a", str(pair_csv), "--b", str(pair_csv)]):

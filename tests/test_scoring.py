@@ -473,14 +473,27 @@ def test_mutual_information_size_guard(monkeypatch):
             self.calls.append("condition")
             raise AssertionError("drew before the guard")
 
+    # Per track: drawing a 1 KiB generator and 5 * (3 * 2 + 6) grid
+    # words; signing 25 words of indices, 5 points and 4 increments of 2
+    # words, the output and one accumulator of 7, 2 * 2 scaled increments
+    # and 4 + 2 * 2 Horner words.  Per form of n_x signatures: 2 * n_x * 7
+    # stacked, 4 * 7 * 7 for the D x D arrays, 45 gathered Gram entries
+    # and 2 * n_x * 4 loss temporaries.  Once: three staging buffers of
+    # at most 4 * 2 words per track, and the Gram index's 2 * 45 entries.
+    def estimate(n_u, n_x):
+        n = n_x * (n_u + 1)
+        sign = n * (25 + (5 + 4) * 2 + 2 * 7 + 2 * 2 + 4 + 2 * 2)
+        sign += 3 * min(np.getbufsize(), n * 4 * 2)
+        form = (n_u + 1) * (2 * n_x * 7 + 4 * 7 * 7 + 45 + 2 * n_x * 4) + 2 * 45
+        return n * (1024 + 8 * 5 * (3 * 2 + 6)) + 8 * (sign + form)
+
     n_u = 10**12
-    need = 8 * (2 * (n_u + 1) * (5 * 2 + 7) + 2 * (n_u + 1) * 7 * 7)
     model = Probed(0.5)
-    with pytest.raises(ValueError, match=f"needs an estimated {need:,} bytes"):
+    with pytest.raises(ValueError, match=f"needs an estimated {estimate(n_u, 2):,} bytes"):
         mutual_information(model, n_u, 2, RIGHT, 2)
     assert model.calls == []
     # the bound is the estimate itself
-    need = 8 * (2 * 3 * (5 * 2 + 7) + 2 * 3 * 7 * 7)
+    need = estimate(2, 2)
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=f"{need:,} bytes"):
         mutual_information(_ShiftModel(0.5), 2, 2, RIGHT, 2)
@@ -501,14 +514,23 @@ def test_mutual_information_conditional_standard_error(side, se):
 
 
 def test_act_size_guard_refuses_before_signing(monkeypatch):
-    # 3 paths of width 2 at depth 8: D = 511
+    # 3 paths of 6 segments and width 2 at depth 8: D = 511, with 256
+    # words in the top degree and 33 789 gathered Gram entries.  Signing
+    # one path: 25 words of indices, 7 points and 6 increments of 2 words,
+    # the output and one accumulator of 511, 8 * 2 scaled increments,
+    # 256 + 2 * 128 Horner words and three staging buffers of 256.  The
+    # form: 2 * 3 * 511 stacked, 4 * 511 * 511 for the D x D arrays, the
+    # gathered entries and the index's two arrays of them, and 2 * 3 * 256
+    # loss temporaries.
     from trackscore import scoring
 
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     mu = random_measure(np.random.default_rng(13), 3)
-    need = 8 * (3 * 511 + 3 * 511 * 511)
+    assert scoring._gram_index(2, 8, RIGHT)[0].size == 33_789
+    sign = 25 + (7 + 6) * 2 + 2 * 511 + 8 * 2 + 256 + 2 * 128 + 3 * 256
+    need = 8 * (3 * sign + 2 * 3 * 511 + 4 * 511 * 511 + 3 * 33_789 + 2 * 3 * 256)
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
         m.setattr(scoring, "signatures", unsigned)

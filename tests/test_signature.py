@@ -296,7 +296,7 @@ def test_rows_last_kernel_equals_row_major_fold(dim, depth):
 
 
 def test_kernel_chunking_and_working_set():
-    from trackscore.signature import _chunking
+    from trackscore.signature import _chunking, _signing_bytes
 
     for n_segments in (1, 2, 100, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 20_000, 200_000):
         chunk, n_chunks = _chunking(n_segments)
@@ -304,7 +304,8 @@ def test_kernel_chunking_and_working_set():
         assert chunk * (n_chunks - 1) < n_segments
     # The fold holds one accumulator per (path, chunk) row and never forms
     # a segment exponential, so its peak allocation stays within a small
-    # multiple of its input points and output signatures.
+    # multiple of its input points and output signatures, and within the
+    # guard's estimate.
     rng = np.random.default_rng(10)
     for n_paths, n_segments, dim, depth in (
         (1050, 100, 2, 4), (30, 100, 2, 4), (1, 20_000, 2, 6), (200, 50, 3, 5)
@@ -318,18 +319,24 @@ def test_kernel_chunking_and_working_set():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * (point_bytes + sig_bytes), (n_paths, n_segments, peak)
+        assert peak <= _signing_bytes(n_paths, n_segments, dim, depth), (n_paths, n_segments, peak)
 
 
 def test_signatures_size_guard_refuses_before_signing(monkeypatch):
     # 3 paths of 300 segments fold 3 chunks of 128 each, and depth 3 at
-    # width 2 has D = 15.  Per path: 301 points and 384 padded increments
-    # of 2 words, 1 output and 3 accumulators of 15, and per chunk the
-    # Horner temporaries of degree 3: 8 + 2 * 4 words.
+    # width 2 has D = 15.  Per path: 25 words of indices and views, 301
+    # points and 384 padded increments of 2 words, 1 output and 3
+    # accumulators of 15, per chunk 3 scaled increments of 2 words and
+    # the Horner temporaries of degree 3, 8 + 2 * 4 words, and for the
+    # chunk fold 3 rows-first copies of 15, two running products of 15
+    # and a top degree of 8.  Once: three staging buffers the size of the
+    # 3 * 3 * 128 * 2 increments, fewer than np.getbufsize() elements.
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     paths = [random_path(np.random.default_rng(3), 300, scale=0.1) for _ in range(3)]
-    need = 8 * 3 * ((301 + 384) * 2 + (1 + 3) * 15 + 3 * (8 + 2 * 4))
+    per_path = 25 + (301 + 384) * 2 + (1 + 3) * 15 + 3 * (3 * 2 + 8 + 2 * 4) + 3 * 15 + 2 * 15 + 8
+    need = 8 * (3 * per_path + 3 * (3 * 3 * 128 * 2))
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
         m.setattr(signature_module, "_sign_block", unsigned)
@@ -343,12 +350,17 @@ def test_signatures_size_guard_refuses_before_signing(monkeypatch):
 def test_signing_estimate_counts_the_input_sized_arrays(monkeypatch):
     # A long, shallow track: its points and its increments, not its
     # 7-word tensors, set the estimate.  200 000 segments fold 1563
-    # chunks of 128, and depth 2 at width 2 has D = 7.
+    # chunks of 128, and depth 2 at width 2 has D = 7; its three staging
+    # buffers take np.getbufsize() elements each.
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     track = make_path(np.zeros((200_001, 2)))
-    need = 8 * ((200_001 + 128 * 1563) * 2 + (1 + 1563) * 7 + 1563 * (4 + 2 * 2))
+    folded = 1563 * 7 + 2 * 7 + 4
+    need = 8 * (
+        25 + (200_001 + 128 * 1563) * 2 + (1 + 1563) * 7 + 1563 * (2 * 2 + 4 + 2 * 2) + folded
+        + 3 * np.getbufsize()
+    )
     assert need > 2 * track.points.nbytes
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
