@@ -26,7 +26,6 @@ from . import __version__
 from .experiments import (
     DEFAULT_GAMMAS,
     DEFAULT_RHOS,
-    format_csv,
     mi_point,
     run_mi_experiment,
     run_warp_experiment,
@@ -42,6 +41,7 @@ from .scoring import (
 )
 from .signature import (
     CsvFormatError,
+    format_csv,
     read_paths_csv,
     signature,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     signatures,
@@ -172,15 +172,18 @@ def cmd_sig(args) -> int:
     paths = list(series.values())
     if args.time_augment:
         paths = [time_augment(p) for p in paths]
-    sigs = unstack(signatures(paths, args.depth), paths[0].dim)
     out = Path(args.out)
-    written = {}
-    for sid, sig in zip(series, sigs):
-        target = out if len(series) == 1 else out.with_name(f"{out.stem}-{sid}{out.suffix}")
+    # every file name is checked before any file is written
+    names = [f"{out.stem}-{sid}{out.suffix}" for sid in series] if len(series) > 1 else [out.name]
+    for sid, name in zip(series, names):
+        if "\0" in name or Path(name).name != name:
+            raise ValueError(f"{args.input}: series id {sid!r} cannot be part of a file name")
+    sigs = unstack(signatures(paths, args.depth), paths[0].dim)
+    for name, sig in zip(names, sigs):
+        target = out.with_name(name)
         target.write_text(to_text(sig))
-        written[sid] = target.name
         print(f"wrote {target}")
-    _write_manifest(out, argparse.Namespace(**vars(args), files=written))
+    _write_manifest(out, argparse.Namespace(**vars(args), files=dict(zip(series, names))))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from .baselines import dtw  # noqa: F401  (wrapped by name in perfbench/tracing.
 from .baselines import soft_dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import point_divergence  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import RIGHT, MIEstimate, mutual_information, point_divergences
-from .signature import _check_memory, _count, _signing_bytes, make_path, signatures
+from .signature import _check_memory, _count, _sign_block, _signing_bytes
 from .stochastic import (
     SimConfig,
     SpiralModel,
@@ -117,10 +117,10 @@ def run_warp_experiment(
     ps = [float(p) for p in np.geomspace(1.0, p_max, n_points)]
     # the warps keep the time grid, so x and its warps are signed in
     # one batch; row 0 is x
-    warps = [make_path(w, x.times) for w in power_warps(x.points, x.times, ps)]
-    sigs = signatures([x, *warps], depth)
+    warps = power_warps(x.points, x.times, ps)
+    sigs = _sign_block(np.concatenate([x.points[None], warps]), depth)
     geometric = point_divergences([lev[:1] for lev in sigs], [lev[1:] for lev in sigs])
-    sdtw, hard = _sdtw_divergences(x, warps, gammas)
+    sdtw, hard = _sdtw_divergences(x.points, warps, gammas)
     rows = [
         [p, g, *sdtw_y, h]
         for p, g, sdtw_y, h in zip(ps, geometric.tolist(), sdtw.tolist(), hard.tolist())
@@ -180,15 +180,3 @@ def run_mi_experiment(
         rows.append([float(rho), est.mi, est.entropy, n_u, n_x, seed])
     return header, rows, estimates
 
-
-def format_csv(header, rows) -> str:
-    """Deterministic CSV serialization, unix newlines: floats (numpy's
-    too) as the repr of the Python float, ``None`` as an empty cell,
-    anything else by ``str``."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            repr(float(c)) if isinstance(c, (float, np.floating)) else "" if c is None else str(c)
-            for c in row
-        ))
-    return "\n".join(lines) + "\n"

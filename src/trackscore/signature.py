@@ -20,6 +20,7 @@ breakpoints and translation all leave it unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -308,9 +309,10 @@ def insert_midpoint(x: PiecewiseLinearPath, segment: int) -> PiecewiseLinearPath
 
 
 def _open_maybe(source, mode):
+    # a stream is left open; utf-8-sig drops a spreadsheet's byte order mark
     if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False
-    return open(source, mode, newline=""), True
+        return contextlib.nullcontext(source)
+    return open(source, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8")
 
 
 def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
@@ -322,40 +324,37 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
     content, including ``nan`` and ``inf`` values, raises
     :class:`CsvFormatError` naming the file and the first offending line.
     """
-    f, close = _open_maybe(source, "r")
-    name = getattr(f, "name", str(source))
-    try:
-        rows = list(csv.reader(f))
-    finally:
-        if close:
-            f.close()
-    if not rows:
-        raise CsvFormatError(f"{name}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "series_id":
-        raise CsvFormatError(f"{name} line 1: header must start with series_id")
-    has_t = len(header) > 1 and header[1] == "t"
-    first_col = 2 if has_t else 1
-    dim = len(header) - first_col
-    if dim < 1:
-        raise CsvFormatError(f"{name} line 1: no value columns in header")
-    sids, linenos, data = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"{name} line {lineno}: expected {len(header)} columns, "
-                f"got {len(row)}"
-            )
-        try:
-            data.append([float(c) for c in row[1:]])
-        except ValueError:
-            raise CsvFormatError(
-                f"{name} line {lineno}: invalid numeric value"
-            ) from None
-        sids.append(row[0].strip())
-        linenos.append(lineno)
+    with _open_maybe(source, "r") as f:
+        name = getattr(f, "name", "<stream>")
+        reader = csv.reader(f)
+        first = next(reader, None)
+        if first is None:
+            raise CsvFormatError(f"{name}: empty file")
+        header = [c.strip() for c in first]
+        if not header or header[0] != "series_id":
+            raise CsvFormatError(f"{name} line 1: header must start with series_id")
+        has_t = len(header) > 1 and header[1] == "t"
+        if len(header) - (2 if has_t else 1) < 1:
+            raise CsvFormatError(f"{name} line 1: no value columns in header")
+        sids, linenos, data = [], [], []
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            # the record's last line in the file, past any quoted newline
+            lineno = reader.line_num
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"{name} line {lineno}: expected {len(header)} columns, "
+                    f"got {len(row)}"
+                )
+            try:
+                data.append([float(c) for c in row[1:]])
+            except ValueError:
+                raise CsvFormatError(
+                    f"{name} line {lineno}: invalid numeric value"
+                ) from None
+            sids.append(row[0].strip())
+            linenos.append(lineno)
     if not data:
         raise CsvFormatError(f"{name}: no data rows")
     values = np.array(data)
@@ -393,19 +392,27 @@ def write_paths_csv(series: dict[str, PiecewiseLinearPath], dest) -> None:
     dims = {p.dim for p in series.values()}
     if len(dims) != 1:
         raise ValueError("all series must share one dimension")
-    d = dims.pop()
-    buf = io.StringIO()
-    buf.write("series_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
+    header = ["series_id", "t", *(f"x{i + 1}" for i in range(dims.pop()))]
+    rows = []
     for sid, path in series.items():
-        times = path.times
-        if times is None:
-            times = np.arange(path.points.shape[0], dtype=float)
-        for t, row in zip(times, path.points):
-            vals = ",".join(repr(float(v)) for v in row)
-            buf.write(f"{sid},{float(t)!r},{vals}\n")
-    f, close = _open_maybe(dest, "w")
-    try:
-        f.write(buf.getvalue())
-    finally:
-        if close:
-            f.close()
+        times = np.arange(path.points.shape[0]) if path.times is None else path.times
+        block = np.column_stack([times, path.points]).astype(float, copy=False)
+        rows.extend([sid, *row] for row in block.tolist())
+    with _open_maybe(dest, "w") as f:
+        f.write(format_csv(header, rows))
+
+
+def format_csv(header, rows) -> str:
+    """Deterministic CSV serialization in the dialect
+    :func:`read_paths_csv` reads, unix newlines: floats (numpy's too) as
+    the repr of the Python float, ``None`` as an empty cell, anything
+    else by ``str``; a cell with a comma, a quote or a newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(c)) if isinstance(c, (float, np.floating)) else "" if c is None else str(c)
+         for c in row]
+        for row in rows
+    )
+    return buf.getvalue()

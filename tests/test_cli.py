@@ -125,6 +125,21 @@ def test_sig_multiple_series_get_suffixed_files(tmp_path, pair_csv):
     }
 
 
+def test_sig_refuses_an_id_unfit_for_a_file_name_before_writing(tmp_path, capsys):
+    src = tmp_path / "ids.csv"
+    src.write_text('series_id,t,x1\nc,0.0,0.0\nc,1.0,1.0\n"a/b",0.0,0.0\n"a/b",1.0,2.0\n')
+    out = tmp_path / "out.txt"
+    assert main(["sig", "--input", str(src), "--out", str(out)]) == 2
+    assert "series id 'a/b'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_entropy_reads_a_file_with_byte_order_mark(tmp_path, staircase_csv):
+    src = tmp_path / "bom.csv"
+    src.write_bytes(b"\xef\xbb\xbf" + staircase_csv.read_bytes())
+    assert main(["entropy", "--input", str(src)]) == 0
+
+
 def test_sig_time_augment_changes_width(tmp_path, staircase_csv):
     out = tmp_path / "aug.txt"
     assert main(["sig", "--input", str(staircase_csv), "--depth", "2",

@@ -9,12 +9,12 @@ import pytest
 from trackscore import experiments
 from trackscore.baselines import dtw, dtw_family
 from trackscore.experiments import (
-    format_csv,
     mi_point,
     run_mi_experiment,
     run_warp_experiment,
     sdtw_divergence,
 )
+from trackscore.signature import format_csv
 from trackscore.stochastic import SimConfig, brownian, power_warp
 
 # the module, whose name the package's signature() function shadows

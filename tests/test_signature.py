@@ -212,14 +212,36 @@ def test_read_paths_csv_errors_name_lines():
         read_paths_csv(io.StringIO("series_id,t,x1\n\n"))
 
 
+def test_read_paths_csv_errors_cite_lines_in_the_file():
+    # a quoted id spanning two lines moves every later record down a line
+    text = 'series_id,t,x1\n"e\nf",0.0,1.0\n"e\nf",1.0,2.0\nu,zero,1.0\n'
+    with pytest.raises(CsvFormatError, match="line 6:"):
+        read_paths_csv(io.StringIO(text))
+    # a stream without a name is named by a placeholder, not its address
+    with pytest.raises(CsvFormatError, match="^<stream> line 1:"):
+        read_paths_csv(io.StringIO("id,t,x1\nu,0.0,1.0\n"))
+
+
+def test_read_paths_csv_accepts_byte_order_mark(tmp_path):
+    src = tmp_path / "bom.csv"
+    src.write_bytes(b"\xef\xbb\xbfseries_id,t,x1\nu,0.0,1.0\nu,1.0,3.0\n")
+    np.testing.assert_array_equal(read_paths_csv(src)["u"].points, [[1.0], [3.0]])
+
+
 def test_write_read_roundtrip():
     rng = np.random.default_rng(7)
-    series = {"p": random_path(rng, 3), "q": random_path(rng, 5)}
+    ids = ["p", "q", "a,b", 'c"d', "e\nf"]
+    series = {
+        sid: make_path(random_path(rng, n).points, np.cumsum(rng.uniform(0.1, 1.0, n + 1)))
+        for sid, n in zip(ids, (3, 5, 0, 2, 4))
+    }
     buf = io.StringIO()
     write_paths_csv(series, buf)
     back = read_paths_csv(io.StringIO(buf.getvalue()))
-    assert set(back) == {"p", "q"}
-    np.testing.assert_array_equal(back["p"].points, series["p"].points)
+    assert list(back) == ids
+    for sid, path in series.items():
+        assert np.array_equal(back[sid].points, path.points)
+        assert np.array_equal(back[sid].times, path.times)
 
 
 def test_path_validation():
