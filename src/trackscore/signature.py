@@ -5,24 +5,27 @@ to a truncation degree.  For a piecewise linear path it equals the
 product of tensor exponentials of the segment increments (Chen's
 identity).  :func:`signatures` evaluates it for many paths at once,
 signing each stacked ``(batch, n + 1, d)`` point array of equal-length
-paths in one kernel call.  Each path is cut into fixed-length chunks,
-and every chunk is signed by the fused multiply-exponentiate fold
+paths in one kernel call.  Each path is cut into a few balanced chunks
+whose length depends only on its own length, width and depth, and every
+chunk is signed by the fused multiply-exponentiate fold
 ``S <- S (x) exp(delta)`` in Horner form, vectorised over all
 (path, chunk) rows, so no segment exponential is ever formed.  The
 increments are written straight into one buffer with the rows on the
 last axis, and each numpy call runs its inner loop over all rows; the
 result is bit-identical to the same fold with one row per leading
-index.  The chunk products are then folded left to right, so
-the cost is linear in the number of segments.  The signature depends
-only on the traced-out track: reparametrization, refinement of
-breakpoints and translation all leave it unchanged.
+index.  The chunk products are then reduced pairwise by Chen's
+identity, one batched product per tree level, so the cost is linear in
+the number of segments and the serial steps are a chunk length plus a
+logarithm.  A path's bits thus do not depend on the batch it is signed
+in.  The signature depends only on the traced-out track:
+reparametrization, refinement of breakpoints and translation all leave
+it unchanged.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -46,11 +49,6 @@ __all__ = [
     "read_paths_csv",
     "write_paths_csv",
 ]
-
-
-# Segments per folded chunk.  Fixed, so that a path's signature is
-# bit-identical whether it is signed alone or in a batch.
-CHUNK_SEGMENTS = 128
 
 
 class CsvFormatError(ValueError):
@@ -180,22 +178,27 @@ def _signing_bytes(batch: int, n_segments: int, d: int, depth: int) -> int:
     """Estimated bytes of one kernel call on ``batch`` paths of ``n_segments``.
     Per path: 25 words of indices and row views, its stacked points and
     padded increments, its output, and per chunk an accumulator, the scaled
-    increments and the top degree's Horner temporaries; with several
-    chunks, their rows-first copies and the chunk fold's products.  Once:
-    numpy's ufunc staging, three buffers of at most ``np.getbufsize()``."""
-    chunk, n_chunks = _chunking(n_segments)
+    increments and the top degree's Horner temporaries.  The pairwise
+    reduction adds per pair of chunks a product and a top-degree temporary,
+    or two tensors where an odd chunk is carried, which fit in the room of
+    the freed Horner temporaries.  Once: numpy's ufunc staging, three
+    buffers of at most ``np.getbufsize()``."""
+    chunk, n_chunks = _chunking(n_segments, d, depth)
     dim, top = tensor_dim(d, depth), d**depth
     per_chunk = dim + depth * d + (top + 2 * d ** (depth - 1) if depth else 0)
-    fold = n_chunks * dim + 2 * dim + top if n_chunks > 1 else 0
-    per_path = 25 + (n_segments + 1 + chunk * n_chunks) * d + dim + n_chunks * per_chunk + fold
+    per_path = 25 + (n_segments + 1 + chunk * n_chunks) * d + dim + n_chunks * per_chunk
     staging = 3 * min(np.getbufsize(), batch * n_chunks * max(chunk * d, top))
     return 8 * (batch * per_path + staging)
 
 
-def _chunking(n_segments: int) -> tuple[int, int]:
-    """``(chunk length, chunks per path)``."""
-    chunk = max(1, min(n_segments, CHUNK_SEGMENTS))
-    return chunk, max(1, -(-n_segments // chunk))
+def _chunking(n_segments: int, d: int, depth: int) -> tuple[int, int]:
+    """``(chunk length, chunks per path)``: the fewest chunks of at most
+    ``max(32, 2 * d**depth)`` segments, balanced in length.  The bound
+    grows with ``d**depth`` so that a chunk's increments weigh about as
+    much as its tensors and Horner temporaries, which keeps the working
+    set a small multiple of the points."""
+    n_chunks = max(1, -(-n_segments // max(32, 2 * d**depth)))
+    return max(1, -(-n_segments // n_chunks)), n_chunks
 
 
 def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
@@ -203,7 +206,7 @@ def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
     point array.  ``n = 0`` folds one chunk of zero padding and depth 0
     folds no degree, so both return exact units."""
     batch, n, d = points.shape[0], points.shape[1] - 1, points.shape[2]
-    chunk, n_chunks = _chunking(n)
+    chunk, n_chunks = _chunking(n, d, depth)
     rows = batch * n_chunks
     # The increments are written straight into one contiguous (chunk, d,
     # rows) buffer, row (path, chunk) last, so each numpy call below loops
@@ -242,12 +245,18 @@ def _sign_block(points: np.ndarray, depth: int) -> list[np.ndarray]:
                 horner = (horner + acc[k])[:, None] * scaled[m - k - 1][None, :]
                 horner = horner.reshape(-1, rows)
             acc[m] += horner
-    # back to (batch, d**m) levels, C-ordered for the callers' products
-    prods = [lev.T.reshape(batch, n_chunks, -1) for lev in acc]
-    acc = [np.ascontiguousarray(p[:, 0]) for p in prods]
-    for c in range(1, n_chunks):
-        acc = mul_levels(acc, [p[:, c] for p in prods])
-    return acc
+    # Chen products of adjacent chunks, one batched product per level of a
+    # pairwise tree, on (batch, chunks, d**m) rows-first views; an odd last
+    # chunk moves up a level unmultiplied
+    acc = [lev.T.reshape(batch, n_chunks, -1) for lev in acc]
+    while n_chunks > 1:
+        left, right = [a[:, : n_chunks - 1 : 2] for a in acc], [a[:, 1:n_chunks:2] for a in acc]
+        pairs = mul_levels(left, right)
+        if n_chunks % 2:
+            pairs = [np.concatenate([p, a[:, -1:]], axis=1) for p, a in zip(pairs, acc)]
+        acc, n_chunks = pairs, pairs[0].shape[1]
+    # C-ordered (batch, d**m) levels for the callers' products
+    return [np.ascontiguousarray(a[:, 0]) for a in acc]
 
 
 def concat(x: PiecewiseLinearPath, y: PiecewiseLinearPath) -> PiecewiseLinearPath:
@@ -327,7 +336,8 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
     with _open_maybe(source, "r") as f:
         name = getattr(f, "name", "<stream>")
         reader = csv.reader(f)
-        first = next(reader, None)
+        rows = _csv_rows(reader, name)
+        first = next(rows, None)
         if first is None:
             raise CsvFormatError(f"{name}: empty file")
         header = [c.strip() for c in first]
@@ -337,7 +347,7 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
         if len(header) - (2 if has_t else 1) < 1:
             raise CsvFormatError(f"{name} line 1: no value columns in header")
         sids, linenos, data = [], [], []
-        for row in reader:
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             # the record's last line in the file, past any quoted newline
@@ -382,6 +392,15 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
     return out
 
 
+def _csv_rows(reader, name):
+    # the reader's records; its own refusals (an oversized field, a bare
+    # carriage return) become CsvFormatError at the line it reached
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"{name} line {reader.line_num}: {exc}") from None
+
+
 def write_paths_csv(series: dict[str, PiecewiseLinearPath], dest) -> None:
     """Writes paths in the long CSV format read by :func:`read_paths_csv`.
 
@@ -406,13 +425,22 @@ def format_csv(header, rows) -> str:
     """Deterministic CSV serialization in the dialect
     :func:`read_paths_csv` reads, unix newlines: floats (numpy's too) as
     the repr of the Python float, ``None`` as an empty cell, anything
-    else by ``str``; a cell with a comma, a quote or a newline is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    else by ``str``; a cell with a comma, a quote, a newline or a carriage
+    return is quoted."""
+    records = _Records()
+    # "\r\n" as the terminator makes the writer quote a carriage return as
+    # well as a newline; each record then ends in "\n" alone
+    writer = csv.writer(records, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(
         [repr(float(c)) if isinstance(c, (float, np.floating)) else "" if c is None else str(c)
          for c in row]
         for row in rows
     )
-    return buf.getvalue()
+    return "".join(record[:-2] + "\n" for record in records)
+
+
+class _Records(list):
+    """A ``csv.writer`` target that keeps each record's text."""
+
+    write = list.append

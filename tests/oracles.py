@@ -9,8 +9,10 @@ degrees converge at second order in the subdivision width.
 
 The row-major fold is the signature kernel's earlier layout, one
 (path, chunk) row per leading index and the tensor coordinates on the
-last axis.  It performs the same floating-point operations in the same
-order as ``signature._sign_block``, so the two must agree bit for bit.
+last axis, and its pairwise reduction multiplies one pair of chunk
+products per call.  It performs the same floating-point operations in
+the same order as ``signature._sign_block``, so the two must agree bit
+for bit.
 
 The soft-DTW oracle is the textbook row-by-row recursion in Python
 floats, one cell at a time, with its own cost matrix.
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from trackscore.signature import CHUNK_SEGMENTS
+from trackscore.signature import _chunking
 from trackscore.tensor_algebra import TruncatedTensor, mul_levels
 
 
@@ -57,12 +59,12 @@ def iterated_integrals(points, depth: int, subdivisions: int = 200) -> Truncated
 
 def sign_rows_fold(points, depth: int) -> list[np.ndarray]:
     """Signature levels ``(batch, d**m)`` of equal-shape ``(n + 1, d)``
-    polylines, by the Horner fold ``S <- S (x) exp(delta)`` over chunks of
-    ``CHUNK_SEGMENTS`` segments with rows first, then a left fold of the
-    chunk products."""
+    polylines, by the Horner fold ``S <- S (x) exp(delta)`` over the
+    kernel's balanced chunks with rows first, then a pairwise reduction
+    of the chunk products: adjacent pairs multiplied one at a time, level
+    by level, an odd last product carried up unmultiplied."""
     batch, n, d = len(points), points[0].shape[0] - 1, points[0].shape[1]
-    chunk = max(1, min(n, CHUNK_SEGMENTS))
-    n_chunks = max(1, -(-n // chunk))
+    chunk, n_chunks = _chunking(n, d, depth)
     increments = np.zeros((batch, n_chunks * chunk, d))
     for inc, pts in zip(increments, points):
         inc[:n] = np.diff(pts, axis=0)
@@ -80,11 +82,11 @@ def sign_rows_fold(points, depth: int) -> list[np.ndarray]:
                 horner = (horner + acc[k])[:, :, None] * scaled[m - k - 1][:, None, :]
                 horner = horner.reshape(rows.shape[0], -1)
             acc[m] += horner
-    prods = [lev.reshape(batch, n_chunks, -1) for lev in acc]
-    acc = [p[:, 0] for p in prods]
-    for c in range(1, n_chunks):
-        acc = mul_levels(acc, [p[:, c] for p in prods])
-    return acc
+    prods = [[lev.reshape(batch, n_chunks, -1)[:, c] for lev in acc] for c in range(n_chunks)]
+    while len(prods) > 1:
+        carried = prods[-1:] if len(prods) % 2 else []
+        prods = [mul_levels(a, b) for a, b in zip(prods[::2], prods[1::2])] + carried
+    return prods[0]
 
 
 def soft_dtw_loop(x, y, gamma: float) -> float:

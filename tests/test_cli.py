@@ -194,6 +194,17 @@ def test_empty_input_names_file(tmp_path, capsys):
     assert "empty.csv" in err and "empty file" in err
 
 
+@pytest.mark.parametrize("sid", ["v" * 200_000, "a\rb"], ids=["long-id", "bare-cr"])
+def test_unreadable_record_is_data_error(tmp_path, capsys, sid):
+    # An id past the csv module's field limit is refused by the reader
+    # itself; from a file, a bare carriage return ends a record early.
+    # Both are bad data that name the file and line, not a traceback.
+    f = tmp_path / "bad.csv"
+    f.write_text(f"series_id,t,x1\nu,0.0,1.0\n{sid},0.0,1.0\n", newline="")
+    assert main(["entropy", "--input", str(f)]) == 2
+    assert "bad.csv line 3: " in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["sig", "--input", "x.csv"]) == 1  # --out missing
     assert main(["mi", "--model", "spiral", "--rho", "2.0"]) == 1
@@ -404,11 +415,13 @@ def test_score_is_the_loss_of_the_act(tmp_path, side, capsys):
 
 def test_mi_too_large_for_memory_is_data_error(capsys):
     # refused by arithmetic before any draw is allocated: n * (n + 1)
-    # tracks of 101 points of width 2, and D = 31 at depth 4 (see
-    # test_mutual_information_size_guard in test_scoring.py for the terms)
+    # tracks of 101 points of width 2, folded in 4 chunks of 25 segments,
+    # and D = 31 at depth 4 (see test_mutual_information_size_guard in
+    # test_scoring.py for the terms)
     n = 10**6
     tracks = n * (n + 1)
-    sign = tracks * (25 + (101 + 100) * 2 + 2 * 31 + 4 * 2 + 16 + 2 * 8) + 3 * np.getbufsize()
+    sign = tracks * (25 + (101 + 100) * 2 + 31 + 4 * (31 + 4 * 2 + 16 + 2 * 8))
+    sign += 3 * np.getbufsize()
     form = (n + 1) * (2 * n * 31 + 4 * 31 * 31 + 573 + 2 * n * 16) + 2 * 573
     need = tracks * (1024 + 8 * 101 * (3 * 2 + 6)) + 8 * (sign + form)
     assert main(["mi", "--model", "spiral", "--rho", "0.5",

@@ -2,15 +2,19 @@
 
 import importlib
 import io
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from trackscore.signature import (
-    CHUNK_SEGMENTS,
     CsvFormatError,
     PiecewiseLinearPath,
+    _chunking,
+    _sign_block,
+    _signing_bytes,
     concat,
     from_time_series,
     insert_midpoint,
@@ -30,6 +34,7 @@ from trackscore.tensor_algebra import (
     inverse,
     is_grouplike,
     mul,
+    mul_levels,
     norm,
     unit,
     unstack,
@@ -220,6 +225,11 @@ def test_read_paths_csv_errors_cite_lines_in_the_file():
     # a stream without a name is named by a placeholder, not its address
     with pytest.raises(CsvFormatError, match="^<stream> line 1:"):
         read_paths_csv(io.StringIO("id,t,x1\nu,0.0,1.0\n"))
+    # the csv reader's own refusals carry the line it reached
+    with pytest.raises(CsvFormatError, match="^<stream> line 3: field larger than field limit"):
+        read_paths_csv(io.StringIO("series_id,t,x1\nu,0.0,1.0\n" + "v" * 200_000 + ",0.0,1.0\n"))
+    with pytest.raises(CsvFormatError, match="^<stream> line 2: new-line character seen"):
+        read_paths_csv(io.StringIO("series_id,t,x1\na\rb,0.0,1.0\n"))
 
 
 def test_read_paths_csv_accepts_byte_order_mark(tmp_path):
@@ -230,10 +240,10 @@ def test_read_paths_csv_accepts_byte_order_mark(tmp_path):
 
 def test_write_read_roundtrip():
     rng = np.random.default_rng(7)
-    ids = ["p", "q", "a,b", 'c"d', "e\nf"]
+    ids = ["p", "q", "a,b", 'c"d', "e\nf", "a\rb"]
     series = {
         sid: make_path(random_path(rng, n).points, np.cumsum(rng.uniform(0.1, 1.0, n + 1)))
-        for sid, n in zip(ids, (3, 5, 0, 2, 4))
+        for sid, n in zip(ids, (3, 5, 0, 2, 4, 1))
     }
     buf = io.StringIO()
     write_paths_csv(series, buf)
@@ -265,9 +275,12 @@ def _folded_signature(x, depth):
 @pytest.mark.parametrize("depth", [0, 1, 3])
 def test_batch_kernel_matches_fold_and_oracle(depth):
     rng = np.random.default_rng(8)
-    # 0 and 1 segments, odd lengths, and lengths spanning several chunks
-    for n_segments in (0, 1, 2, 5, 7, CHUNK_SEGMENTS + 1, 3 * CHUNK_SEGMENTS + 17):
-        paths = [random_path(rng, n_segments, scale=0.3) for _ in range(3)]
+    # 0 and 1 segments, odd lengths, and at width 2 and these depths the
+    # chunk bound 32: one below, at and above it, three chunks, four of
+    # 25 segments and 625 of 32
+    for n_segments in (0, 1, 2, 5, 7, 31, 32, 33, 95, 100, 20_000):
+        count = 1 if n_segments > 100 else 3
+        paths = [random_path(rng, n_segments, scale=0.3) for _ in range(count)]
         batch = unstack(signatures(paths, depth), 2)
         for x, s in zip(paths, batch):
             ref = _folded_signature(x, depth)
@@ -280,7 +293,7 @@ def test_batch_kernel_matches_fold_and_oracle(depth):
 
 def test_signature_bit_identical_alone_and_in_any_batch():
     rng = np.random.default_rng(9)
-    for n_segments in (5, 100, 2 * CHUNK_SEGMENTS + 3):
+    for n_segments in (5, 31, 32, 33, 95, 100, 20_000):
         paths = [random_path(rng, n_segments, scale=0.3) for _ in range(40)]
         alone = [signature(x, 4) for x in paths]
         for lo, hi in ((0, 40), (3, 4), (7, 30)):
@@ -298,11 +311,13 @@ def test_signature_bit_identical_alone_and_in_any_batch():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("depth", [0, 1, 3, 4, 6])
 def test_rows_last_kernel_equals_row_major_fold(dim, depth):
-    from trackscore.signature import _sign_block
-
     rng = np.random.default_rng(11)
+    # 0 and 1 segments, 100, one below, at and above the chunk bound, and
+    # three chunks; the long ones at the smaller batches
+    most = max(32, 2 * dim**depth)
+    lengths = (0, 1, 100, most - 1, most, most + 1, 2 * most + 1, 20_000)
     for batch in (1, 7, 275):
-        for n_segments in (0, 1, CHUNK_SEGMENTS - 1, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 300):
+        for n_segments in [n for n in lengths if batch * n <= 275 * 300 or batch == 1]:
             paths = [random_path(rng, n_segments, dim=dim, scale=0.3) for _ in range(batch)]
             ref = sign_rows_fold([p.points for p in paths], depth)
             # the kernel's stacked input, in C and in Fortran order
@@ -318,12 +333,14 @@ def test_rows_last_kernel_equals_row_major_fold(dim, depth):
 
 
 def test_kernel_chunking_and_working_set():
-    from trackscore.signature import _chunking, _signing_bytes
-
-    for n_segments in (1, 2, 100, CHUNK_SEGMENTS, CHUNK_SEGMENTS + 1, 20_000, 200_000):
-        chunk, n_chunks = _chunking(n_segments)
-        assert chunk <= CHUNK_SEGMENTS and chunk * n_chunks >= n_segments
-        assert chunk * (n_chunks - 1) < n_segments
+    # the fewest chunks of at most max(32, 2 * d**depth) segments, balanced
+    for n_segments, d, depth in itertools.product(
+        (0, 1, 2, 31, 32, 33, 100, 20_000, 200_000), (1, 2, 3), (0, 2, 4, 6)
+    ):
+        chunk, n_chunks = _chunking(n_segments, d, depth)
+        assert n_chunks == max(1, math.ceil(n_segments / max(32, 2 * d**depth)))
+        assert chunk == max(1, math.ceil(n_segments / n_chunks))
+    assert _chunking(50, 3, 5) == (50, 1)
     # The fold holds one accumulator per (path, chunk) row and never forms
     # a segment exponential, so its peak allocation stays within a small
     # multiple of its input points and output signatures, and within the
@@ -344,21 +361,41 @@ def test_kernel_chunking_and_working_set():
         assert peak <= _signing_bytes(n_paths, n_segments, dim, depth), (n_paths, n_segments, peak)
 
 
+def test_long_and_short_paths_fold_in_few_serial_steps(monkeypatch):
+    # The speed-up without a clock: a 100-segment planar path at depth 4
+    # folds 4 chunks of 25 segments, 25 Horner steps rather than 100, and
+    # a 20 000-segment one reduces its 625 chunk products in one batched
+    # product per level of a pairwise tree, 10 calls where a left fold of
+    # the same chunks makes 624.
+    assert _chunking(100, 2, 4) == (25, 4)
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return mul_levels(a, b)
+
+    monkeypatch.setattr(signature_module, "mul_levels", counted)
+    track = random_path(np.random.default_rng(12), 20_000, scale=0.01)
+    chunk, n_chunks = _chunking(20_000, 2, 4)
+    assert (chunk, n_chunks) == (32, 625)
+    signature(track, 4)
+    assert len(calls) <= math.ceil(math.log2(n_chunks))
+
+
 def test_signatures_size_guard_refuses_before_signing(monkeypatch):
-    # 3 paths of 300 segments fold 3 chunks of 128 each, and depth 3 at
+    # 3 paths of 300 segments fold 10 chunks of 30 each, and depth 3 at
     # width 2 has D = 15.  Per path: 25 words of indices and views, 301
-    # points and 384 padded increments of 2 words, 1 output and 3
-    # accumulators of 15, per chunk 3 scaled increments of 2 words and
-    # the Horner temporaries of degree 3, 8 + 2 * 4 words, and for the
-    # chunk fold 3 rows-first copies of 15, two running products of 15
-    # and a top degree of 8.  Once: three staging buffers the size of the
-    # 3 * 3 * 128 * 2 increments, fewer than np.getbufsize() elements.
+    # points and 300 increments of 2 words, 1 output and 10 accumulators
+    # of 15, and per chunk 3 scaled increments of 2 words and the Horner
+    # temporaries of degree 3, 8 + 2 * 4 words.  Once: three staging
+    # buffers the size of the 3 * 10 * 30 * 2 increments, fewer than
+    # np.getbufsize() elements.
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     paths = [random_path(np.random.default_rng(3), 300, scale=0.1) for _ in range(3)]
-    per_path = 25 + (301 + 384) * 2 + (1 + 3) * 15 + 3 * (3 * 2 + 8 + 2 * 4) + 3 * 15 + 2 * 15 + 8
-    need = 8 * (3 * per_path + 3 * (3 * 3 * 128 * 2))
+    per_path = 25 + (301 + 300) * 2 + (1 + 10) * 15 + 10 * (3 * 2 + 8 + 2 * 4)
+    need = 8 * (3 * per_path + 3 * (3 * 10 * 30 * 2))
     monkeypatch.setattr(signature_module, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
         m.setattr(signature_module, "_sign_block", unsigned)
@@ -371,16 +408,15 @@ def test_signatures_size_guard_refuses_before_signing(monkeypatch):
 
 def test_signing_estimate_counts_the_input_sized_arrays(monkeypatch):
     # A long, shallow track: its points and its increments, not its
-    # 7-word tensors, set the estimate.  200 000 segments fold 1563
-    # chunks of 128, and depth 2 at width 2 has D = 7; its three staging
+    # 7-word tensors, set the estimate.  200 000 segments fold 6250
+    # chunks of 32, and depth 2 at width 2 has D = 7; its three staging
     # buffers take np.getbufsize() elements each.
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     track = make_path(np.zeros((200_001, 2)))
-    folded = 1563 * 7 + 2 * 7 + 4
     need = 8 * (
-        25 + (200_001 + 128 * 1563) * 2 + (1 + 1563) * 7 + 1563 * (2 * 2 + 4 + 2 * 2) + folded
+        25 + (200_001 + 200_000) * 2 + (1 + 6250) * 7 + 6250 * (2 * 2 + 4 + 2 * 2)
         + 3 * np.getbufsize()
     )
     assert need > 2 * track.points.nbytes
