@@ -10,7 +10,7 @@ and a wall-clock timestamp (the one field that varies between reruns).
 Exit codes: 0 success, 1 usage error, 2 data error (including
 non-finite values in an input file), 3 numerical failure: the act's
 quadratic form could not be factorised (the message gives its condition
-estimate).
+estimate), or a signature or result overflowed to a non-finite value.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .experiments import (
@@ -61,7 +63,7 @@ _DATA_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class NumericalFailure(RuntimeError):
-    """An act solve failed: its quadratic form cannot be factorised."""
+    """An act solve failed, or a signature or result is not finite."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,6 +149,8 @@ def _emit_scalar(args, quantity, value, n_samples, *results, seed=None, diagnost
     ``value``, so a failed write prints nothing.  ``results`` are the
     converged acts or estimates behind ``value``."""
     _require_converged(*results)
+    if not math.isfinite(value):
+        raise NumericalFailure(f"the {quantity} overflows to {float(value)!r}")
     if args.out:
         out = Path(args.out)
         row = [
@@ -179,6 +183,11 @@ def cmd_sig(args) -> int:
         if "\0" in name or Path(name).name != name:
             raise ValueError(f"{args.input}: series id {sid!r} cannot be part of a file name")
     sigs = unstack(signatures(paths, args.depth), paths[0].dim)
+    for sid, sig in zip(series, sigs):
+        if not all(np.isfinite(lev).all() for lev in sig.levels):
+            raise NumericalFailure(
+                f"{args.input}: the depth-{args.depth} signature of series {sid!r} overflows"
+            )
     for name, sig in zip(names, sigs):
         target = out.with_name(name)
         target.write_text(to_text(sig))
@@ -317,7 +326,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # an overflow is reported once, as the failure it leads to
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericalFailure as exc:
         print(f"trackscore: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

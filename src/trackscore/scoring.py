@@ -14,10 +14,12 @@ a signature coefficient, so Q is gathered from G by a fixed index over
 the ways of splitting a word into a signature word and an act word, and
 no multiplication matrix is formed.  Every A is triangular with a unit
 diagonal, so Q is symmetric positive definite and the act has a closed
-form: ``x* = Q^{-1} e_0 / (Q^{-1})_{00}``, with entropy
-``1 / (Q^{-1})_{00} - 1``.  It is taken from one Cholesky factorisation
-per measure; a factorisation that fails, or a non-finite result, is
-reported as ``converged=False``.
+form: ``x* = (1, -Q_11^{-1} q_10)``, with ``Q_11`` the block of Q off
+the scalar word and ``q_10`` its scalar column, and entropy
+``1 / (Q^{-1})_{00} - 1``.  It is taken from one solve of that block
+per measure.  A Cholesky factorisation of Q decides convergence and
+gives the condition estimate: a factorisation that fails, or a
+non-finite result, is reported as ``converged=False``.
 
 One batched reduction is behind every loss: :func:`loss_L` is its
 one-tensor case, and it gives the point divergences and the expected
@@ -352,21 +354,6 @@ def _cholesky(quads: np.ndarray) -> np.ndarray:
         return out
 
 
-def _closed_form(chol: np.ndarray) -> np.ndarray:
-    # x* = Q^-1 e0 / (Q^-1)_00 for each factor Q = L L^T in the stack:
-    # c = L^-1 e0, z = L^-T c = Q^-1 e0.  Rows whose factorisation
-    # failed stay NaN.
-    ok = np.isfinite(chol).all(axis=(1, 2))
-    x = np.full(chol.shape[:2], np.nan)
-    if ok.any():
-        e0 = np.zeros((chol.shape[-1], 1))
-        e0[0] = 1.0
-        c = np.linalg.solve(chol[ok], e0)
-        z = np.linalg.solve(np.swapaxes(chol[ok], 1, 2), c)[..., 0]
-        x[ok] = z / z[:, :1]
-    return x
-
-
 def _condition(quads: np.ndarray, chol: np.ndarray) -> np.ndarray:
     # BayesAct.condition for each form.  The SVD runs only for forms
     # whose factorisation failed.
@@ -379,9 +366,16 @@ def _condition(quads: np.ndarray, chol: np.ndarray) -> np.ndarray:
 
 
 def _solve(quads: np.ndarray) -> _Solution:
-    """Slice minimizers of a stack of forms ``(k, D, D)``, in closed form."""
+    """Slice minimizers of a stack of forms ``(k, D, D)``, in closed form:
+    ``x = (1, -Q_11^-1 q_10)`` from one solve of the ``(k, D-1, D-1)``
+    blocks.  The Cholesky factors give the condition estimates, and rows
+    whose factorisation failed stay NaN."""
     chol = _cholesky(quads)
-    x = _closed_form(chol)
+    ok = np.isfinite(chol).all(axis=(1, 2))
+    x = np.full(quads.shape[:2], np.nan)
+    x[ok, 0] = 1.0
+    # b has a's number of dimensions: a matrix solve under numpy 1.x and 2.x
+    x[ok, 1:] = -np.linalg.solve(quads[ok, 1:, 1:], quads[ok, 1:, :1])[..., 0]
     grads = 2.0 * np.linalg.norm((quads @ x[..., None])[:, 1:, 0], axis=-1)
     converged = np.isfinite(x).all(axis=1) & np.isfinite(grads)
     return _Solution(x, grads, converged, _condition(quads, chol))

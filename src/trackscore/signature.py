@@ -394,11 +394,14 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
 
 def _csv_rows(reader, name):
     # the reader's records; its own refusals (an oversized field, a bare
-    # carriage return) become CsvFormatError at the line it reached
+    # carriage return) become CsvFormatError at the line it reached, and
+    # bytes that are not UTF-8 one naming the file
     try:
         yield from reader
     except csv.Error as exc:
         raise CsvFormatError(f"{name} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CsvFormatError(f"{name}: not UTF-8 text") from None
 
 
 def write_paths_csv(series: dict[str, PiecewiseLinearPath], dest) -> None:

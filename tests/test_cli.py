@@ -374,10 +374,57 @@ def test_closed_form_failure_reports_condition(tmp_path, capsys):
     # 1e90 coordinates overflow the degree-4 signature
     f = tmp_path / "huge.csv"
     f.write_text("series_id,x1,x2\ns,0.0,0.0\ns,1e90,0.0\ns,1e90,1e90\n")
-    with pytest.warns(RuntimeWarning):
-        assert main(["entropy", "--input", str(f)]) == 3
+    assert main(["entropy", "--input", str(f)]) == 3
     err = capsys.readouterr().err
     assert "condition estimate" in err and "max-iters" not in err
+    # numpy's overflow warnings are not printed next to the failure
+    assert len(err.splitlines()) == 1
+
+
+# one bad input file per case, and the exit code it documents: 2 for
+# data, 3 for numerics; the overflow is of the depth-3 signature
+BAD_INPUTS = {
+    "overflow": (b"series_id,t,x1,x2\ns,0,0,0\ns,1,1e150,0\n", 3),
+    "not-utf8": (b"series_id,t,x1,x2\ns,0,\xff,0\n", 2),
+    "header-only": (b"series_id,t,x1,x2\n", 2),
+    "non-finite-time": (b"series_id,t,x1,x2\ns,0,0,0\ns,nan,1,0\n", 2),
+    "oversized-field": (b"series_id,t,x1,x2\n" + b"v" * 200_000 + b",0,0,0\n", 2),
+    "id-unfit-for-a-file-name": (b"series_id,t,x1,x2\na/b,0,0,0\na/b,1,1,0\nc,0,0,0\nc,1,1,0\n", 2),
+}
+# the bad file goes to each command's first file option
+BAD_INPUT_ARGS = {
+    "sig": ["--input", "bad.csv"],
+    "entropy": ["--input", "bad.csv"],
+    "divergence": ["--a", "bad.csv", "--b", "good.csv"],
+    "score": ["--x", "bad.csv", "--measure", "good.csv"],
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for command in BAD_INPUT_ARGS for case in BAD_INPUTS
+    if command == "sig" or case != "id-unfit-for-a-file-name"
+])
+def test_bad_input_fails_with_one_line_and_no_file(tmp_path, capsys, command, case):
+    content, code = BAD_INPUTS[case]
+    (tmp_path / "bad.csv").write_bytes(content)
+    (tmp_path / "good.csv").write_text(STAIRCASE)
+    files = [str(tmp_path / a) if a.endswith(".csv") else a for a in BAD_INPUT_ARGS[command]]
+    before = sorted(tmp_path.iterdir())
+    assert main([command, "--depth", "3", "--out", str(tmp_path / "out.csv"), *files]) == code
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    # a data error names the file at fault
+    assert code == 3 or "bad.csv" in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_mi_overflow_fails_with_one_line_and_no_file(tmp_path, capsys):
+    out = tmp_path / "mi.csv"
+    assert main(["mi", "--model", "spiral", "--rho", "0.5", "--n-u", "2", "--n-x", "3",
+                 "--horizon", "1e300", "--resolution", "1e299", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_mi_converges_at_rho_one(capsys):

@@ -374,7 +374,8 @@ def test_side_argument_checked():
         bayes_act(mu, "middle", 2)
 
 
-def test_closed_form_matches_descent_and_inverse_form():
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_closed_form_matches_descent_and_inverse_form(depth):
     # the closed-form act against affine descent on the same slice
     # objective under a tight config, and its entropy against
     # 1/(Q^-1)_00 - 1
@@ -385,14 +386,14 @@ def test_closed_form_matches_descent_and_inverse_form():
         paths = [random_path(rng, int(rng.integers(2, 9))) for _ in range(n_paths)]
         mu = EmpiricalMeasure.weighted(paths, rng.dirichlet(np.ones(n_paths)))
         for side in (LEFT, RIGHT):
-            direct = bayes_act(mu, side, 3)
-            prob = _slice_problem(mu, side, 3)
+            direct = bayes_act(mu, side, depth)
+            prob = _slice_problem(mu, side, depth)
             quad = prob.quad
             # step 1/lam_max puts the top mode on the stability boundary;
             # the 5% margin keeps every mode strictly contractive
             lam_max = float(np.linalg.eigvalsh(quad)[-1])
             descent = affine_descent(
-                *_slice_objective(prob), unit(2, 3),
+                *_slice_objective(prob), unit(2, depth),
                 dataclasses.replace(CFG, step=1.0 / (1.05 * lam_max)),
             )
             assert direct.converged and descent.converged
@@ -400,9 +401,29 @@ def test_closed_form_matches_descent_and_inverse_form():
             assert abs(direct.objective - descent.objective) <= 1e-10
             assert norm(direct.value - inverse(descent.minimizer)) <= 1e-6
             h = 1.0 / np.linalg.inv(quad)[0, 0] - 1.0
-            assert entropy(mu, side, 3) == pytest.approx(h, rel=1e-10, abs=1e-12)
+            assert entropy(mu, side, depth) == pytest.approx(h, rel=1e-10, abs=1e-12)
             # the Cholesky-diagonal estimate bounds cond_2(Q) from below
             assert 1.0 <= direct.condition <= np.linalg.cond(quad) * (1.0 + 1e-12)
+
+
+def test_act_solves_read_alike_under_numpy_1_and_2(monkeypatch):
+    # numpy.linalg.solve reads b with one axis fewer than a as a stack of
+    # vectors before numpy 2.0 and, where b.ndim > 1, as one stack of
+    # matrices from 2.0 on; the acts must not pass that shape, so that
+    # they run alike on the numpy>=1.24 that pyproject.toml admits
+    solve = np.linalg.solve
+
+    def unambiguous_solve(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert not (b.ndim == a.ndim - 1 and b.ndim > 1), (a.shape, b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", unambiguous_solve)
+    rng = np.random.default_rng(3)
+    mu, nu = random_measure(rng, 4), random_measure(rng, 3)
+    assert bayes_act(mu, RIGHT, 3).converged
+    assert divergence(nu, mu, LEFT, 3) >= -1e-12
+    assert mutual_information(_ShiftModel(1.0), 3, 4, RIGHT, 2, seed=5).converged
 
 
 def test_closed_form_failure_is_reported_not_raised():
