@@ -12,10 +12,14 @@ DP tables per numpy step, and keeps its state rows last: points
 ``(d, n, rows)`` and the last two diagonals ``(n + 1, tables, rows)``,
 so each step works on one contiguous block.  A pair carries one soft
 table per gamma and one hard table, and each step forms the pair's cost
-diagonal once for all of them.  :func:`dtw_family` is the one batched
-entry point: every pair at every gamma, plus hard DTW.  :func:`soft_dtw`
-is its one-pair, one-gamma case.  :func:`dtw` is a scalar loop over the
-full cost matrix; the hard tables equal it bit for bit.
+diagonal once for all of them.  A soft table holds ``R / gamma``, so
+its soft min has no temperature; a soft value is therefore inf once
+``R / gamma`` passes the float maximum, about ``gamma * 1.8e308``,
+where hard DTW is inf only once a cost overflows.  :func:`dtw_family`
+is the one batched entry point: every pair at every gamma, plus hard
+DTW.  :func:`soft_dtw` is its one-pair, one-gamma case.  :func:`dtw` is
+a scalar loop over the full cost matrix; the hard tables equal it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -93,10 +97,11 @@ def dtw_family(xs, ys, gammas) -> np.ndarray:
     One wavefront pass per pair feeds each cost diagonal to all
     ``len(gammas) + 1`` tables.  Column j equals :func:`soft_dtw` at
     ``gammas[j]`` and the last column equals :func:`dtw`, bit for bit; a
-    cost that overflows gives inf, as it does in :func:`dtw`.  Pairs
-    with the same ``(n, m, d)`` run together over the ``n + m - 1``
-    anti-diagonals of their tables, and a pair gives the same bits alone
-    as in any batch.
+    cost that overflows gives inf, as it does in :func:`dtw`, and so
+    does a soft value whose table, held in units of gamma, passes the
+    float maximum.  Pairs with the same ``(n, m, d)`` run together over
+    the ``n + m - 1`` anti-diagonals of their tables, and a pair gives
+    the same bits alone as in any batch.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1:
@@ -125,7 +130,8 @@ def soft_dtw(x, y, gamma: float) -> float:
 
     Converges to the hard value as gamma -> 0.  Because the soft min
     lies below the hard min, the value can be negative; in particular
-    ``soft_dtw(x, x, gamma) <= 0``.
+    ``soft_dtw(x, x, gamma) <= 0``.  The recursion runs in units of
+    gamma, so the value is inf once it passes about ``gamma * 1.8e308``.
     """
     return float(dtw_family([x], [y], [gamma])[0, 0])
 
@@ -146,14 +152,17 @@ def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarra
     Points are stacked rows last, ``(d, n, rows)`` and ``(d, m, rows)``,
     and so is each table's state: ``(2, n + 1, tables, rows)`` holds the
     last diagonal of each parity of ``s``, and entry ``i`` of diagonal
-    ``s`` holds ``R[i, s - i]``.  A diagonal's cells are then one
-    contiguous block: numpy runs a call on it as one flat loop, where a
-    block with gaps or an operand broadcast into it goes through the
-    iterator's buffers.  That is why the soft and the hard tables keep
-    separate states, and why gamma is filled out to a whole diagonal; the
-    cost diagonal, formed once per step, is the one operand broadcast
-    across the tables.  Cells off the table, and its zero row and column
-    past ``R[0, 0]``, are inf.
+    ``s`` holds ``R[i, s - i]``.  A soft table holds ``R / gamma``: its
+    soft min is then free of gamma, each step adds the cost diagonal
+    divided by gamma, and the value is the last cell times gamma.  A
+    diagonal's cells are one contiguous block: numpy runs a call on it as
+    one flat loop, where a block with gaps or an operand broadcast into
+    it goes through the iterator's buffers.  That is why the soft and the
+    hard tables keep separate states, and why gamma is filled out to a
+    whole diagonal for that divide; the cost diagonal, formed once per
+    step, is the one operand broadcast across the tables.  Cells off the
+    table, and its zero row and column past ``R[0, 0]``, are inf, and so
+    is a soft cell whose ``R / gamma`` passes the float maximum.
     """
     _, n, rows = x.shape
     m = y_rev.shape[1]
@@ -162,8 +171,8 @@ def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarra
     soft_state = np.full((2, n + 1, gamma.shape[0], rows), inf)
     hard_state = np.full((2, n + 1, 1, rows), inf)
     soft_state[0, 0] = hard_state[0, 0] = 0.0
-    gamma = np.broadcast_to(gamma, (min(n, m), *soft_state.shape[2:])).copy()
-    states = [(st, g) for st, g in ((soft_state, gamma), (hard_state, None)) if st.size]
+    filled = np.broadcast_to(gamma, (min(n, m), *soft_state.shape[2:])).copy()
+    states = [(st, g) for st, g in ((soft_state, filled), (hard_state, None)) if st.size]
     with np.errstate(over="ignore", divide="ignore"):
         for s in range(2, n + m + 1):
             lo, hi = max(1, s - m), min(n, s - 1)
@@ -179,32 +188,34 @@ def _wavefront(x: np.ndarray, y_rev: np.ndarray, gamma: np.ndarray) -> np.ndarra
                 up, left, diag = prev[lo - 1:hi], prev[lo:hi + 1], cur[lo - 1:hi]
                 low = np.minimum(up, left)
                 np.minimum(low, diag, out=low)
-                if g is not None:
-                    _soft_min(low, up, left, diag, g[:hi - lo + 1])
-                np.add(cost, low, out=cur[lo:hi + 1])
+                out = cur[lo:hi + 1]
+                if g is None:
+                    np.add(cost, low, out=out)
+                else:
+                    _soft_min(low, up, left, diag)
+                    np.divide(cost, g[:hi - lo + 1], out=out)
+                    out += low
                 # the next two steps read cells lo - 1 to hi + 1 of this
                 # diagonal; a cell hi + 1 <= n has never been written
                 cur[lo - 1] = inf
-    return np.concatenate([state[(n + m) % 2, n] for state, _ in states])
+        soft = soft_state[(n + m) % 2, n] * gamma
+    return np.concatenate([soft, hard_state[(n + m) % 2, n]])
 
 
-def _soft_min(low, up, left, diag, gamma) -> None:
-    # low - gamma log(exp((low - up)/gamma) + exp((low - left)/gamma) +
-    # exp((low - diag)/gamma)) in place, where low is the hard min.
-    # Costs that overflowed leave all three predecessors inf; the clamp
-    # keeps inf - inf out, so such a cell comes out inf.
+def _soft_min(low, up, left, diag) -> None:
+    # low - log(exp(low - up) + exp(low - left) + exp(low - diag)) in
+    # place, where low is the hard min; in units of gamma the soft min
+    # has no temperature.  Cells that overflowed leave all three
+    # predecessors inf; the clamp keeps inf - inf out, so such a cell
+    # comes out inf.
     np.minimum(low, sys.float_info.max, out=low)
     total = np.subtract(low, up)
-    total /= gamma
     np.exp(total, out=total)
     term = np.subtract(low, left)
-    term /= gamma
     np.exp(term, out=term)
     total += term
     np.subtract(low, diag, out=term)
-    term /= gamma
     np.exp(term, out=term)
     total += term
     np.log(total, out=total)
-    total *= gamma
     low -= total

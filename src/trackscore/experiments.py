@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .baselines import _wavefront_bytes, dtw_family
+from .baselines import _as_points, _wavefront_bytes, dtw_family
 from .baselines import dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .baselines import soft_dtw  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .scoring import point_divergence  # noqa: F401  (wrapped by name in perfbench/tracing.py)
@@ -60,11 +60,23 @@ def sdtw_divergence(x, y, gamma: float) -> float:
 def _sdtw_divergences(x, ys, gammas) -> tuple[np.ndarray, np.ndarray]:
     """Debiased soft DTW of x against each of ys at every gamma,
     ``(len(ys), len(gammas))``, and hard DTW ``(len(ys),)``, from one
-    :func:`dtw_family` call on (x, x), then (x, y) and (y, y) per y."""
-    pairs = [(x, x)] + [pair for y in ys for pair in ((x, y), (y, y))]
+    :func:`dtw_family` call on (x, x), then (x, y) and (y, y) per y
+    unequal to x.  A y equal to x takes both from (x, x): a pair gives
+    the same bits alone as in any batch, so that changes no value."""
+    x = _as_points(x)
+    pairs, xy = [(x, x)], []
+    for y in map(_as_points, ys):
+        if np.array_equal(y, x):
+            xy.append(0)
+        else:
+            xy.append(len(pairs))
+            pairs += [(x, y), (y, y)]
     family = dtw_family([a for a, _ in pairs], [b for _, b in pairs], gammas)
+    # each y's (y, y) row follows its (x, y) row, or is (x, x) too
+    xy = np.array(xy, dtype=int)
+    yy = np.where(xy > 0, xy + 1, 0)
     soft = family[:, :-1]
-    return soft[1::2] - 0.5 * (soft[0] + soft[2::2]), family[1::2, -1]
+    return soft[xy] - 0.5 * (soft[0] + soft[yy]), family[xy, -1]
 
 
 def sdtw_columns(gammas) -> list[str]:

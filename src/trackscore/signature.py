@@ -193,11 +193,14 @@ def _signing_bytes(batch: int, n_segments: int, d: int, depth: int) -> int:
 
 def _chunking(n_segments: int, d: int, depth: int) -> tuple[int, int]:
     """``(chunk length, chunks per path)``: the fewest chunks of at most
-    ``max(32, 2 * d**depth)`` segments, balanced in length.  The bound
-    grows with ``d**depth`` so that a chunk's increments weigh about as
-    much as its tensors and Horner temporaries, which keeps the working
-    set a small multiple of the points."""
-    n_chunks = max(1, -(-n_segments // max(32, 2 * d**depth)))
+    ``max(32, 2 * d**depth, ceil(n_segments / 2048))`` segments, balanced
+    in length.  The bound grows with ``d**depth`` so that a chunk's
+    increments weigh about as much as its tensors and Horner temporaries,
+    which keeps the working set a small multiple of the points, and with
+    the length so that a path folds at most 2048 rows, which keeps a long
+    path's rows in cache and its time linear in its length."""
+    bound = max(32, 2 * d**depth, -(-n_segments // 2048))
+    n_chunks = max(1, -(-n_segments // bound))
     return max(1, -(-n_segments // n_chunks)), n_chunks
 
 

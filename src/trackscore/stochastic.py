@@ -202,16 +202,17 @@ def _rngs(seed, streams) -> list[np.random.Generator]:
 
 def _brownian_points(rngs, cfg: SimConfig) -> np.ndarray:
     # (len(rngs), T + 1, d) Brownian points from the origin; each
-    # generator draws its increments as one normal block into its row,
-    # and one cumulative sum over all rows adds them up in the order a
-    # per-row sum would
+    # generator draws its standard normals straight into its row, one
+    # scale of the whole block makes them the increments, and one
+    # cumulative sum over all rows adds them up in the order a per-row
+    # sum would.  sd * z has the bits of rng.normal(0.0, sd), which is
+    # 0.0 + sd * z.
     rngs = list(rngs)
-    n = cfg.steps
-    sd = math.sqrt(cfg.resolution)
-    points = np.zeros((len(rngs), n + 1, cfg.dim))
+    points = np.zeros((len(rngs), cfg.steps + 1, cfg.dim))
     steps = points[:, 1:]
     for rng, row in zip(rngs, steps):
-        row[:] = rng.normal(0.0, sd, size=(n, cfg.dim))
+        rng.standard_normal(out=row)
+    steps *= math.sqrt(cfg.resolution)
     np.cumsum(steps, axis=1, out=steps)
     return points
 

@@ -123,6 +123,22 @@ def test_soft_dtw_overflowing_costs_give_inf():
     assert soft_dtw(x, y, 1.0) == math.inf
 
 
+def test_soft_dtw_range_is_gamma_times_the_float_maximum():
+    # The soft tables hold R / gamma, so a soft value is inf once R /
+    # gamma passes the float maximum, about gamma * 1.8e308, though every
+    # cost is finite; hard DTW keeps the range of its costs.
+    x = np.array([0.0, 1e10, 0.0])
+    y = np.array([1e10, 0.0, 2e10])
+    assert dtw(x, y) == 5e20
+    assert soft_dtw(x, y, 1e-300) == math.inf
+    # inside that range, costs near 1e10 keep the oracle's agreement
+    rng = np.random.default_rng(5)
+    pairs = ((1e-5 * x, 1e-5 * y), (1e5 * rng.standard_normal((6, 2)), rng.standard_normal((5, 2))))
+    for a, b in pairs:
+        ref = soft_dtw_loop(a, b, 1e-3)
+        assert abs(soft_dtw(a, b, 1e-3) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
 def test_dtw_family_one_gamma_keeps_diagonals_not_tables():
     # 81 pairs of 101 x 101 points in the plane at one gamma; a
     # materialised (pairs, n, m) cost tensor alone would be about 25

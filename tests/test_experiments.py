@@ -50,6 +50,25 @@ def test_warp_experiment_shape_and_first_row():
         assert abs(cell) <= 1e-10
 
 
+def test_warp_sweep_runs_each_distinct_pair_once(monkeypatch):
+    # p = 1 warps x to itself, so its (x, y) and (y, y) pairs are the
+    # (x, x) pair: the default sweep's 13 warps take 25 wavefront rows,
+    # not 27, and the identity row is exactly zero as before
+    rows_run = []
+
+    def counted(xs, ys, gammas):
+        rows_run.append(len(xs))
+        return dtw_family(xs, ys, gammas)
+
+    monkeypatch.setattr(experiments, "dtw_family", counted)
+    header, rows = run_warp_experiment()
+    assert rows_run == [25]
+    assert rows[0][0] == 1.0
+    soft = [k for k, name in enumerate(header) if name.startswith("sdtw_gamma_")]
+    assert [rows[0][k] for k in soft] == [0.0] * 3
+    assert rows[0][header.index("dtw")] == 0.0
+
+
 def test_warp_experiment_validation():
     for p_max in (0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="p_max"):

@@ -277,8 +277,9 @@ def test_batch_kernel_matches_fold_and_oracle(depth):
     rng = np.random.default_rng(8)
     # 0 and 1 segments, odd lengths, and at width 2 and these depths the
     # chunk bound 32: one below, at and above it, three chunks, four of
-    # 25 segments and 625 of 32
-    for n_segments in (0, 1, 2, 5, 7, 31, 32, 33, 95, 100, 20_000):
+    # 25 segments and 625 of 32; and past 65 536 segments the bound of
+    # a path's length, 2000 chunks of 33
+    for n_segments in (0, 1, 2, 5, 7, 31, 32, 33, 95, 100, 20_000, 66_000):
         count = 1 if n_segments > 100 else 3
         paths = [random_path(rng, n_segments, scale=0.3) for _ in range(count)]
         batch = unstack(signatures(paths, depth), 2)
@@ -313,9 +314,11 @@ def test_signature_bit_identical_alone_and_in_any_batch():
 def test_rows_last_kernel_equals_row_major_fold(dim, depth):
     rng = np.random.default_rng(11)
     # 0 and 1 segments, 100, one below, at and above the chunk bound, and
-    # three chunks; the long ones at the smaller batches
+    # three chunks; the long ones at the smaller batches, and at batch 1
+    # one past 65 536 segments where that makes the length set the bound
     most = max(32, 2 * dim**depth)
     lengths = (0, 1, 100, most - 1, most, most + 1, 2 * most + 1, 20_000)
+    lengths += (66_000,) if most < 66_000 / 2048 else ()
     for batch in (1, 7, 275):
         for n_segments in [n for n in lengths if batch * n <= 275 * 300 or batch == 1]:
             paths = [random_path(rng, n_segments, dim=dim, scale=0.3) for _ in range(batch)]
@@ -333,14 +336,18 @@ def test_rows_last_kernel_equals_row_major_fold(dim, depth):
 
 
 def test_kernel_chunking_and_working_set():
-    # the fewest chunks of at most max(32, 2 * d**depth) segments, balanced
+    # the fewest chunks of at most max(32, 2 * d**depth, n / 2048)
+    # segments, balanced, so a path folds at most 2048 rows
     for n_segments, d, depth in itertools.product(
-        (0, 1, 2, 31, 32, 33, 100, 20_000, 200_000), (1, 2, 3), (0, 2, 4, 6)
+        (0, 1, 2, 31, 32, 33, 100, 20_000, 65_536, 65_537, 200_000), (1, 2, 3), (0, 2, 4, 6)
     ):
         chunk, n_chunks = _chunking(n_segments, d, depth)
-        assert n_chunks == max(1, math.ceil(n_segments / max(32, 2 * d**depth)))
+        bound = max(32, 2 * d**depth, math.ceil(n_segments / 2048))
+        assert n_chunks == max(1, math.ceil(n_segments / bound)) <= 2048
         assert chunk == max(1, math.ceil(n_segments / n_chunks))
     assert _chunking(50, 3, 5) == (50, 1)
+    assert _chunking(65_536, 2, 4) == (32, 2048)
+    assert _chunking(200_000, 2, 4) == (98, 2041)
     # The fold holds one accumulator per (path, chunk) row and never forms
     # a segment exponential, so its peak allocation stays within a small
     # multiple of its input points and output signatures, and within the
@@ -408,15 +415,16 @@ def test_signatures_size_guard_refuses_before_signing(monkeypatch):
 
 def test_signing_estimate_counts_the_input_sized_arrays(monkeypatch):
     # A long, shallow track: its points and its increments, not its
-    # 7-word tensors, set the estimate.  200 000 segments fold 6250
-    # chunks of 32, and depth 2 at width 2 has D = 7; its three staging
-    # buffers take np.getbufsize() elements each.
+    # 7-word tensors, set the estimate.  200 000 segments fold 2041
+    # chunks of 98, 200 018 increments with the padding, and depth 2 at
+    # width 2 has D = 7; its three staging buffers take np.getbufsize()
+    # elements each.
     def unsigned(*args):
         raise AssertionError("signed past the guard")
 
     track = make_path(np.zeros((200_001, 2)))
     need = 8 * (
-        25 + (200_001 + 200_000) * 2 + (1 + 6250) * 7 + 6250 * (2 * 2 + 4 + 2 * 2)
+        25 + (200_001 + 200_018) * 2 + (1 + 2041) * 7 + 2041 * (2 * 2 + 4 + 2 * 2)
         + 3 * np.getbufsize()
     )
     assert need > 2 * track.points.nbytes
