@@ -366,7 +366,7 @@ def read_paths_csv(source) -> dict[str, PiecewiseLinearPath]:
                 raise CsvFormatError(
                     f"{name} line {lineno}: invalid numeric value"
                 ) from None
-            sids.append(row[0].strip())
+            sids.append(row[0])
             linenos.append(lineno)
     if not data:
         raise CsvFormatError(f"{name}: no data rows")

@@ -16,8 +16,9 @@ exposes ``sample_condition(rng)`` and ``sample_paths(rngs,
 conditions)``.  The latter draws one track per (generator, condition)
 pair and returns them as one ``(n, T + 1, d)`` point array on the
 model's time grid.  Each generator draws its own randomness in the
-order a single track does; the deterministic part (cumulative sums,
-spiral terms, power warps) is computed for all rows at once.
+order a single track does; the cumulative sums and spiral terms are
+computed for all rows at once, and a power warp is one ``np.interp``
+per coordinate over all rows that share a base path.
 ``sample_path(rng, condition)`` is its one-row case, returned as a
 path.  Estimators sign the point array directly, with no path object
 per draw (see ``scoring.mutual_information``).
@@ -230,14 +231,11 @@ def brownian(cfg: SimConfig) -> PiecewiseLinearPath:
 
 
 def power_warps(points, times, ps) -> np.ndarray:
-    """Resamples polylines along the warps ``phi(t) = T (t/T)^p``, one
-    per exponent ``p >= 1``, on their shared time grid ``times``.
-
-    ``points`` is one polyline ``(n, d)``, warped by every exponent, or
-    one polyline per exponent ``(len(ps), n, d)``; the result has shape
-    ``(len(ps), n, d)``.  Values are read off each polyline by linear
-    interpolation, with the arithmetic of ``np.interp``, so endpoints are
-    fixed and p = 1 is the identity.
+    """Resamples one ``(n, d)`` polyline along the warps ``phi(t) = T
+    (t/T)^p``, one per exponent ``p >= 1``, on its time grid ``times``;
+    the result has shape ``(len(ps), n, d)``.  Each coordinate is read
+    off the polyline by one ``np.interp`` over all exponents, so
+    endpoints are fixed and p = 1 is the identity.
     """
     ps = np.asarray(ps, dtype=float).reshape(-1)
     points, times = np.asarray(points, dtype=float), np.asarray(times, dtype=float)
@@ -245,34 +243,15 @@ def power_warps(points, times, ps) -> np.ndarray:
         raise ValueError("warp exponent must be at least 1")
     if times.shape[0] < 2:
         raise ValueError("power_warp needs at least two breakpoints")
-    one_each = points.ndim == 3 and points.shape[0] == ps.shape[0]
-    if not (points.ndim == 2 or one_each) or points.shape[-2] != times.shape[0]:
-        raise ValueError("need one (n, d) polyline on the n times, or one per exponent")
+    if points.ndim != 2 or points.shape[0] != times.shape[0]:
+        raise ValueError("need one (n, d) polyline on the n times")
     tau = times - times[0]
     phi = (tau / tau[-1]) ** ps[:, None]
     phi *= tau[-1]
     phi[ps == 1.0] = tau
-    # tau[j] <= phi < tau[j + 1].  A phi on a grid time reads its point
-    # exactly, as np.interp does; any other is read off segment j.
-    j = np.searchsorted(tau, phi, side="right") - 1
-    hit = phi == np.take(tau, j)
-    first = np.arange(ps.shape[0])[:, None] * tau.shape[0] if one_each else 0
-    flat = points.reshape(-1, points.shape[-1])
-    exact = flat[(first + j)[hit]]
-    # np.interp's (hi - lo) / dt * (phi - t_lo) + lo, in place over rows
-    # gathered from the flattened polylines; clamping j to the last
-    # segment changes only hits
-    seg = np.minimum(j, tau.shape[0] - 2, out=j)
-    phi -= np.take(tau, seg)
-    dt = np.take(np.diff(tau), seg)
-    seg += first
-    lo = np.take(flat, seg, axis=0)
-    warped = np.take(flat, seg + 1, axis=0)
-    warped -= lo
-    warped /= dt[..., None]
-    warped *= phi[..., None]
-    warped += lo
-    warped[hit] = exact
+    warped = np.empty(phi.shape + points.shape[1:])
+    for k, coord in enumerate(points.T):
+        warped[..., k] = np.interp(phi, tau, coord)
     return warped
 
 
@@ -294,10 +273,12 @@ def _mix(rho: float, signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 def _draw_bytes(n: int, cfg: SimConfig) -> int:
     """Estimated bytes of drawing ``n`` tracks with either model, beside the
-    tracks, which their signing counts: per track a generator (about 1 KiB),
-    a base path, two track-sized working arrays and five grid-sized ones:
-    the warp's times, indices, spacings, gathers and hits, or spiral terms."""
-    return n * (1024 + 8 * (cfg.steps + 1) * (3 * cfg.dim + 6))
+    tracks, which their signing counts: per track a generator (about 1 KiB)
+    and ``2d + 3`` grid-sized arrays.  For the warped mixture they are a
+    base path with its times, the noise or the track's row of its base's
+    warps, that row's warp times and one coordinate's ``np.interp``; for
+    the spiral, the noise and the four spiral terms."""
+    return n * (1024 + 8 * (cfg.steps + 1) * (2 * cfg.dim + 3))
 
 
 @dataclass(frozen=True)
@@ -354,8 +335,18 @@ class WarpedMixModel(_Model):
     def sample_paths(self, rngs, conditions) -> np.ndarray:
         """One track per generator and base path, stacked
         ``(n, T + 1, d)``.  Each generator draws its warp exponent, then
-        its noise."""
-        rngs = list(rngs)
-        ps = [rng.uniform(1.0, 10.0) for rng in rngs]
-        warped = power_warps(np.stack([c.points for c in conditions]), self.cfg.times, ps)
+        its noise.  The rows that share one base path object, as a
+        conditional family does, are warped by one :func:`power_warps`
+        call on it."""
+        rngs, conditions = list(rngs), list(conditions)
+        if len(conditions) != len(rngs):
+            raise ValueError("need one base path per generator")
+        ps = np.array([rng.uniform(1.0, 10.0) for rng in rngs])
+        rows: dict[int, list[int]] = {}
+        for i, base in enumerate(conditions):
+            rows.setdefault(id(base), []).append(i)
+        t = self.cfg.times
+        warped = np.empty((len(rngs), t.shape[0], self.cfg.dim))
+        for idx in rows.values():
+            warped[idx] = power_warps(conditions[idx[0]].points, t, ps[idx])
         return _mix(self.rho, warped, _brownian_points(rngs, self.cfg))

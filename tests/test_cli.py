@@ -470,7 +470,7 @@ def test_mi_too_large_for_memory_is_data_error(capsys):
     sign = tracks * (25 + (101 + 100) * 2 + 31 + 4 * (31 + 4 * 2 + 16 + 2 * 8))
     sign += 3 * np.getbufsize()
     form = (n + 1) * (2 * n * 31 + 4 * 31 * 31 + 573 + 2 * n * 16) + 2 * 573
-    need = tracks * (1024 + 8 * 101 * (3 * 2 + 6)) + 8 * (sign + form)
+    need = tracks * (1024 + 8 * 101 * (2 * 2 + 3)) + 8 * (sign + form)
     assert main(["mi", "--model", "spiral", "--rho", "0.5",
                  "--n-u", str(n), "--n-x", str(n)]) == 2
     assert f"needs an estimated {need:,} bytes" in capsys.readouterr().err

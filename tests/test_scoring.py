@@ -494,7 +494,7 @@ def test_mutual_information_size_guard(monkeypatch):
             self.calls.append("condition")
             raise AssertionError("drew before the guard")
 
-    # Per track: drawing a 1 KiB generator and 5 * (3 * 2 + 6) grid
+    # Per track: drawing a 1 KiB generator and 5 * (2 * 2 + 3) grid
     # words; signing 25 words of indices, 5 points and 4 increments of 2
     # words, the output and one accumulator of 7, 2 * 2 scaled increments
     # and 4 + 2 * 2 Horner words.  Per form of n_x signatures: 2 * n_x * 7
@@ -506,7 +506,7 @@ def test_mutual_information_size_guard(monkeypatch):
         sign = n * (25 + (5 + 4) * 2 + 2 * 7 + 2 * 2 + 4 + 2 * 2)
         sign += 3 * min(np.getbufsize(), n * 4 * 2)
         form = (n_u + 1) * (2 * n_x * 7 + 4 * 7 * 7 + 45 + 2 * n_x * 4) + 2 * 45
-        return n * (1024 + 8 * 5 * (3 * 2 + 6)) + 8 * (sign + form)
+        return n * (1024 + 8 * 5 * (2 * 2 + 3)) + 8 * (sign + form)
 
     n_u = 10**12
     model = Probed(0.5)

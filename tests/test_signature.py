@@ -240,10 +240,10 @@ def test_read_paths_csv_accepts_byte_order_mark(tmp_path):
 
 def test_write_read_roundtrip():
     rng = np.random.default_rng(7)
-    ids = ["p", "q", "a,b", 'c"d', "e\nf", "a\rb"]
+    ids = ["p", "q", "a,b", 'c"d', "e\nf", "a\rb", " a", "a", "b "]
     series = {
         sid: make_path(random_path(rng, n).points, np.cumsum(rng.uniform(0.1, 1.0, n + 1)))
-        for sid, n in zip(ids, (3, 5, 0, 2, 4, 1))
+        for sid, n in zip(ids, (3, 5, 0, 2, 4, 1, 2, 1, 3))
     }
     buf = io.StringIO()
     write_paths_csv(series, buf)

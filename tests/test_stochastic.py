@@ -269,6 +269,23 @@ def test_sample_paths_rows_equal_single_draws(model_cls, rho, grid):
         assert np.array_equal(batch[i], _one_track(model, _stream(i), u))
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+def test_warped_mix_rows_do_not_depend_on_grouping(rho):
+    # rows that share one base object, rows that each hold an equal copy
+    # of it, and the same rows in shuffled order give the same bits
+    model = WarpedMixModel(rho, SimConfig(horizon=2.0, resolution=0.05, dim=3))
+    bases = [model.sample_condition(_stream(100, k)) for k in range(3)]
+    shared = [bases[i % 3] for i in range(8)]
+    copies = [make_path(b.points.copy(), b.times.copy()) for b in shared]
+    batch = model.sample_paths([_stream(i) for i in range(8)], shared)
+    assert np.array_equal(model.sample_paths([_stream(i) for i in range(8)], copies), batch)
+    order = [5, 2, 7, 0, 3, 6, 1, 4]
+    shuffled = model.sample_paths([_stream(i) for i in order], [shared[i] for i in order])
+    assert np.array_equal(shuffled, batch[order])
+    with pytest.raises(ValueError):
+        model.sample_paths([_stream(0)], shared)
+
+
 @pytest.mark.parametrize("grid", [{}, {"horizon": 2.0, "resolution": 0.05}])
 def test_power_warps_equal_interp(grid):
     # the warp sweep's exponents against np.interp, bit for bit, and
@@ -290,11 +307,6 @@ def test_power_warp_is_one_row_of_power_warps():
     rows = power_warps(x.points, x.times, ps)
     for p, row in zip(ps, rows):
         assert np.array_equal(power_warp(x, p).points, row)
-    # one polyline per exponent
-    bases = [brownian(SimConfig(seed=s, horizon=2.0, resolution=0.05)) for s in (5, 6, 7)]
-    rows = power_warps(np.stack([b.points for b in bases]), x.times, ps)
-    for b, p, row in zip(bases, ps, rows):
-        assert np.array_equal(power_warp(b, p).points, row)
     for bad in ([0.5], [np.nan], [2.0, 0.999]):
         with pytest.raises(ValueError):
             power_warps(x.points, x.times, bad)
